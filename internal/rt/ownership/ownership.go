@@ -9,7 +9,10 @@
 // to a child produces no false races, without tracking start edges.
 package ownership
 
-import "racedet/internal/rt/event"
+import (
+	"racedet/internal/rt/event"
+	"racedet/internal/rt/loctab"
+)
 
 // State is the ownership state of a location.
 type State int8
@@ -21,13 +24,17 @@ const (
 	Shared               // accessed by at least two threads
 )
 
-// sharedOwner is the in-table marker for the shared state; it keeps
-// the table a single map so the per-access path does one lookup.
-const sharedOwner event.ThreadID = -9
+// cell is one location's ownership record; the zero cell is Unowned,
+// the dense table's absent value.
+type cell struct {
+	owner event.ThreadID // meaningful while Owned
+	state State
+}
 
 // Table tracks per-location owners.
 type Table struct {
-	owner       map[event.Loc]event.ThreadID
+	cells       loctab.Table[cell]
+	locations   int // cells in state Owned or Shared
 	transitions uint64
 
 	// maxLocations caps the table (0 = unbounded). Locations that
@@ -46,42 +53,26 @@ type Table struct {
 	onContact func(event.Loc)
 }
 
-// initialLocations pre-sizes the owner map. Growing a Go map to n
-// entries through incremental doubling allocates roughly twice the
-// final bucket footprint in garbage; on the paper benchmarks the
-// ownership table was the single largest allocation site (44% of
-// bytes on tsp), so starting at a realistic size is an easy win — a
-// few KB of fixed cost for small programs, half the table garbage for
-// big ones.
-const initialLocations = 1 << 10
-
 // New returns an empty ownership table.
-func New() *Table {
-	return &Table{owner: make(map[event.Loc]event.ThreadID, initialLocations)}
-}
+func New() *Table { return &Table{} }
 
 // NewBounded returns an ownership table tracking at most maxLocations
 // locations; overflow locations are treated as born-shared.
 func NewBounded(maxLocations int) *Table {
-	t := New()
-	t.maxLocations = maxLocations
-	return t
+	return &Table{maxLocations: maxLocations}
 }
 
 // Clone returns a deep copy of the table for checkpointing. The
 // onContact callback is deliberately not copied: a checkpoint is
 // passive state and must not fire notifications into the live run.
 func (tb *Table) Clone() *Table {
-	nt := &Table{
-		owner:        make(map[event.Loc]event.ThreadID, len(tb.owner)),
+	return &Table{
+		cells:        *tb.cells.Clone(),
+		locations:    tb.locations,
 		transitions:  tb.transitions,
 		maxLocations: tb.maxLocations,
 		overflows:    tb.overflows,
 	}
-	for loc, o := range tb.owner {
-		nt.owner[loc] = o
-	}
-	return nt
 }
 
 // Filter processes an access by thread t to loc. It returns true if
@@ -90,25 +81,26 @@ func (tb *Table) Clone() *Table {
 // becameShared additionally signals the owned→shared transition so the
 // caller can evict the location from all caches (§7.2).
 func (tb *Table) Filter(t event.ThreadID, loc event.Loc) (forward, becameShared bool) {
-	owner, seen := tb.owner[loc]
+	c := tb.cells.Get(loc)
 	switch {
-	case !seen:
-		if tb.maxLocations > 0 && len(tb.owner) >= tb.maxLocations {
+	case c == nil || c.state == Unowned:
+		if tb.maxLocations > 0 && tb.locations >= tb.maxLocations {
 			// Table full: the location is never tracked and acts as
 			// shared from its first access on.
 			tb.overflows++
 			return true, false
 		}
-		tb.owner[loc] = t
+		*tb.cells.At(loc) = cell{owner: t, state: Owned}
+		tb.locations++
 		return false, false
-	case owner == t:
-		return false, false
-	case owner == sharedOwner:
+	case c.state == Shared:
 		return true, false
+	case c.owner == t:
+		return false, false
 	default:
 		// Second thread: the location becomes shared; this access and
 		// all subsequent ones go to the detector.
-		tb.owner[loc] = sharedOwner
+		c.state = Shared
 		tb.transitions++
 		if tb.onContact != nil {
 			tb.onContact(loc)
@@ -122,15 +114,10 @@ func (tb *Table) SetOnContact(fn func(event.Loc)) { tb.onContact = fn }
 
 // StateOf reports the current ownership state of loc (tests).
 func (tb *Table) StateOf(loc event.Loc) State {
-	owner, seen := tb.owner[loc]
-	switch {
-	case !seen:
-		return Unowned
-	case owner == sharedOwner:
-		return Shared
-	default:
-		return Owned
+	if c := tb.cells.Get(loc); c != nil {
+		return c.state
 	}
+	return Unowned
 }
 
 // SharedCount returns how many locations have become shared.
@@ -140,7 +127,7 @@ func (tb *Table) SharedCount() int { return int(tb.transitions) }
 func (tb *Table) Transitions() uint64 { return tb.transitions }
 
 // Locations returns the number of tracked locations (space metric).
-func (tb *Table) Locations() int { return len(tb.owner) }
+func (tb *Table) Locations() int { return tb.locations }
 
 // Overflows returns the number of accesses forwarded because the
 // bounded table was full (0 in unbounded mode).

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"strings"
@@ -129,6 +130,62 @@ func TestOutOfRangeFileStringID(t *testing.T) {
 	err := replayErr(t, craft(1, 1, 9))
 	if err == nil || !strings.Contains(err.Error(), "string ID 9 out of range") {
 		t.Fatalf("want file string-ID error, got: %v", err)
+	}
+}
+
+// TestOutOfRangeThreadIDs byte-patches the thread operand of a
+// recorded control event and access block. A negative thread (other
+// than a ThreadStart's NoThread parent) used to index the detectors'
+// per-thread slices and panic; a huge one sized them to the ID. Both
+// must be rejected as a *FormatError at decode time.
+func TestOutOfRangeThreadIDs(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.ThreadStarted(0, event.NoThread)
+	w.ThreadStarted(5, 0)
+	for i := 0; i < 10; i++ {
+		w.Access(event.Access{Loc: event.Loc{Obj: 1}, Thread: 5, Kind: event.Write})
+	}
+	if err := w.Finalize(); err != nil {
+		t.Fatalf("Finalize: %v", err)
+	}
+	data := buf.Bytes()
+	if err := replayErr(t, data); err != nil {
+		t.Fatalf("unpatched trace rejected: %v", err)
+	}
+	r, err := NewReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := r.SegmentInfo(0)
+	payload := int(seg.Off)
+
+	cases := []struct {
+		name    string
+		op      byte  // opcode whose thread operand is patched
+		thread  int64 // replacement thread ID (single-byte zigzag)
+		wantErr string
+	}{
+		{"access block thread -5", opAccessBlock, -5, "thread ID -5 out of range"},
+		{"access block thread 63", opAccessBlock, 63, "thread ID 63 out of range"},
+		{"thread start child -5", opThreadStart, -5, "thread ID -5 out of range"},
+		{"thread start child 63", opThreadStart, 63, "thread ID 63 out of range"},
+	}
+	for _, c := range cases {
+		// The first occurrence of (opcode, zigzag 5) in the payload is
+		// the event's own thread operand: ThreadStart(0,-1) comes
+		// first, then ThreadStart(5,0), then the access block.
+		at := bytes.Index(data[payload:payload+int(seg.Len)], []byte{c.op, byte(zigzag(5))})
+		if at < 0 {
+			t.Fatalf("%s: thread operand not found", c.name)
+		}
+		bad := append([]byte(nil), data...)
+		bad[payload+at+1] = byte(zigzag(c.thread))
+		err := replayErr(t, bad)
+		var fe *FormatError
+		if !errors.As(err, &fe) || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: want *FormatError %q, got %T %v", c.name, c.wantErr, err, err)
+		}
 	}
 }
 

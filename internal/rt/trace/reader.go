@@ -330,8 +330,22 @@ func (d *decodedSeg) reset() {
 	d.accesses = d.accesses[:0]
 }
 
+// checkThread validates a thread ID read just before br's position.
+// Real threads are numbered from 0 and each has a ThreadStart event,
+// so a valid ID is below the trace's total event count; parent
+// additionally admits event.NoThread, the main thread's absent parent.
+// The bound also keeps the detectors' per-thread slices, which are
+// sized by the largest thread ID, proportional to the trace.
+func (r *Reader) checkThread(br *byteReader, t int64, parent bool) error {
+	if (t >= 0 && uint64(t) < r.total) || (parent && t == int64(event.NoThread)) {
+		return nil
+	}
+	return errf(br.off(), "thread ID %d out of range (trace has %d events)", t, r.total)
+}
+
 // decodeSegment decodes segment i into d (which it resets first). All
-// lockset and string IDs are validated against the trailer tables.
+// lockset and string IDs are validated against the trailer tables, and
+// all thread IDs against the event count (see checkThread).
 func (r *Reader) decodeSegment(i int, d *decodedSeg) error {
 	d.reset()
 	info := r.segs[i]
@@ -359,6 +373,9 @@ func (r *Reader) decodeSegment(i int, d *decodedSeg) error {
 		case opAccessBlock:
 			thread, err := br.zigzag()
 			if err != nil {
+				return err
+			}
+			if err := r.checkThread(br, thread, false); err != nil {
 				return err
 			}
 			lockID, err := br.uvarint()
@@ -452,6 +469,12 @@ func (r *Reader) decodeSegment(i int, d *decodedSeg) error {
 			if err != nil {
 				return err
 			}
+			if err := r.checkThread(br, a, false); err != nil {
+				return err
+			}
+			if err := r.checkThread(br, b, op == opThreadStart); err != nil {
+				return err
+			}
 			d.ops = append(d.ops, Op{Kind: uint8(op), A: a, B: b})
 			events++
 		case opThreadFinish:
@@ -459,11 +482,17 @@ func (r *Reader) decodeSegment(i int, d *decodedSeg) error {
 			if err != nil {
 				return err
 			}
+			if err := r.checkThread(br, a, false); err != nil {
+				return err
+			}
 			d.ops = append(d.ops, Op{Kind: uint8(op), A: a})
 			events++
 		case opMonEnter, opMonExit:
 			t, err := br.zigzag()
 			if err != nil {
+				return err
+			}
+			if err := r.checkThread(br, t, false); err != nil {
 				return err
 			}
 			lock, err := br.zigzag()
