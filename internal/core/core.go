@@ -174,12 +174,12 @@ type Config struct {
 	// (one trie per object instead of per location).
 	PackedTrie bool
 
-	// Shards, when >= 1, runs the trie detector as a location-sharded
-	// parallel back end with that many workers (1 pins the sharded
-	// machinery without parallelism; 0 keeps the serial back end).
-	// Race reports are merged deterministically and are byte-identical
-	// to the serial back end (for unbounded detector memory; see
-	// detector.Sharded). Only DetTrie honors it.
+	// Shards, when >= 1, runs the trie detector with that many
+	// ring-fed worker goroutines (1 pins the ring machinery without
+	// parallelism; 0 keeps the single inline worker). Race reports are
+	// merged deterministically and are byte-identical to the serial run
+	// (for an unbounded trie; see detector.NewSharded). Only DetTrie
+	// honors it.
 	Shards int
 	// BatchSize, when > 0, batches access events per thread: the
 	// interpreter buffers up to this many accesses before calling into
@@ -890,7 +890,7 @@ func (p *Pipeline) RunConfig(cfg Config) (*RunResult, error) {
 // the same sinks.
 type detectorSinks struct {
 	sink event.Sink
-	det  detector.Backend
+	det  *detector.Detector
 	era  *eraser.Detector
 	obr  *objectrace.Detector
 	vcl  *vclock.Detector
@@ -1094,33 +1094,28 @@ func RunSource(file, src string, cfg Config) (*RunResult, error) {
 }
 
 // ReplayLog performs post-mortem detection: it feeds a recorded event
-// log (produced via Config.RecordTo) into a fresh detector configured
-// by cfg and returns its reports. The detector sees exactly the same
-// event stream as the on-the-fly run, so the reports match (tested in
-// postmortem_test.go).
+// log (produced via Config.RecordTo) into a fresh detector stack built
+// from cfg exactly as a live run builds it (newDetectorSinks), and
+// harvests it the same way. The stack sees exactly the same event
+// stream as the on-the-fly run, so at the recording configuration the
+// verdicts and counters match (TestReplayLogMatchesLive).
 func ReplayLog(r io.Reader, cfg Config) (*RunResult, error) {
-	det := detector.New(detector.Options{
-		NoCache:       !cfg.Cache,
-		NoOwnership:   !cfg.Ownership,
-		FieldsMerged:  cfg.FieldsMerged,
-		NoPseudoLocks: !cfg.PseudoLocks,
-		ReportAll:     cfg.ReportAll,
-	})
-	start := time.Now()
-	n, err := postmortem.Replay(r, det)
+	ds, err := newDetectorSinks(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rr := &RunResult{
-		Config:        cfg,
-		Reports:       det.Reports(),
-		RacyObjects:   det.RacyObjects(),
-		DetectorStats: det.Stats(),
-		TrieNodes:     det.TrieNodeCount(),
-		TrieLocations: det.TrieLocationCount(),
-		Duration:      time.Since(start),
+	start := time.Now()
+	if _, err := postmortem.Replay(r, ds.sink); err != nil {
+		if ds.det != nil {
+			_ = ds.det.Err() // shut down a partially-fed sharded detector
+		}
+		return nil, err
 	}
+	rr := &RunResult{
+		Config:   cfg,
+		Duration: time.Since(start),
+	}
+	ds.harvest(rr)
 	rr.Interp.TraceEvents = rr.DetectorStats.Accesses
-	_ = n
 	return rr, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -95,4 +97,77 @@ func TestRecordingDoesNotChangeDetection(t *testing.T) {
 	if len(plain.RacyObjects) != len(recorded.RacyObjects) {
 		t.Errorf("recording changed detection: %v vs %v", plain.RacyObjects, recorded.RacyObjects)
 	}
+}
+
+// TestReplayLogMatchesLive pins that ReplayLog builds the detector the
+// live run built: for every detector option — sampling, priors and the
+// memory bounds included — replaying a recorded log under the same
+// Config must reproduce the live run's counters, reports and trie size.
+func TestReplayLogMatchesLive(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  func(Config) Config
+	}{
+		{"full", func(c Config) Config { return c }},
+		{"sampled", func(c Config) Config { c.SampleK, c.SampleBudget = 2, 0.25; return c }},
+		{"priors", func(c Config) Config { c.SampleK, c.SampleBudget, c.Priors = 2, 0.25, "on"; return c }},
+		{"maxowner", func(c Config) Config { c.MaxOwnerLocations = 16; return c }},
+		{"maxtrie", func(c Config) Config { c.MaxTrieNodes = 64; return c }},
+		{"maxcache", func(c Config) Config { c.MaxCacheThreads = 1; return c }},
+		{"packed", func(c Config) Config { c.PackedTrie = true; return c }},
+	}
+	for _, prog := range []string{"tsp", "hedc", "mtrt"} {
+		file := "../bench/testdata/" + prog + ".mj"
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range configs {
+			cfg := c.cfg(Full())
+			cfg.Seed = 7
+			p, err := Compile(file, string(src), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if PriorsEnabled(cfg.Priors) {
+				cfg.SitePriors = p.SitePriors() // what RunConfig derives for the live run
+			}
+			var log strings.Builder
+			rec := cfg
+			rec.RecordTo = &log
+			live, err := p.RunConfig(rec)
+			if err != nil || live.Err != nil {
+				t.Fatalf("%s/%s: live run: %v / %v", prog, c.name, err, live.Err)
+			}
+			replay, err := ReplayLog(strings.NewReader(log.String()), cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: replay: %v", prog, c.name, err)
+			}
+			label := prog + "/" + c.name
+			if !reflect.DeepEqual(replay.DetectorStats, live.DetectorStats) {
+				t.Errorf("%s: detector stats differ\nreplay: %+v\nlive:   %+v", label, replay.DetectorStats, live.DetectorStats)
+			}
+			if got, want := reportLines(replay), reportLines(live); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: reports differ\nreplay: %d %v\nlive:   %d %v", label, len(got), got, len(want), want)
+			}
+			if replay.TrieNodes != live.TrieNodes || replay.TrieLocations != live.TrieLocations {
+				t.Errorf("%s: trie replay %d nodes/%d locations, live %d/%d", label,
+					replay.TrieNodes, replay.TrieLocations, live.TrieNodes, live.TrieLocations)
+			}
+			if !reflect.DeepEqual(replay.RacyObjects, live.RacyObjects) {
+				t.Errorf("%s: racy objects replay %v, live %v", label, replay.RacyObjects, live.RacyObjects)
+			}
+		}
+	}
+}
+
+// reportLines renders reports without object descriptions, which a
+// post-mortem log does not carry.
+func reportLines(rr *RunResult) []string {
+	var out []string
+	for _, r := range rr.Reports {
+		r.ObjDesc = ""
+		out = append(out, r.String())
+	}
+	return out
 }

@@ -3,13 +3,24 @@
 // caches (§4), and the trie-based weaker-than detector (§3) — behind
 // the event.Sink interface the interpreter feeds.
 //
-// The composition order per access is:
+// There is one per-access pipeline. A Detector is a router — the
+// front half, run synchronously on the producer's goroutine in event
+// order — feeding workers, the back half that owns the trie:
 //
 //	cache lookup → [hit: done]
 //	ownership filter → [owned: cache insert, done; owned→shared:
 //	                    evict location from all caches]
-//	trie: weakness check → race check → update
+//	(sampling only: per-site throttle, see sampling.go)
+//	ship: materialize the lockset, stamp the detection order
+//	    → worker trie: weakness check → race check → update
 //	cache insert
+//
+// New attaches one inline worker that ship calls directly, with no
+// ring, goroutine or batch buffer. NewSharded (sharded.go) attaches N
+// ring-fed worker goroutines, each owning the trie slice for its share
+// of the location space. The cache, ownership, sitestate and lock
+// tracking code exists once, on the router, so both constructors see
+// the same filter state and counters by construction.
 //
 // Reporting follows Definition 1: the detector reports at least one
 // racing access for every memory location involved in a datarace
@@ -17,13 +28,16 @@
 package detector
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"racedet/internal/rt/cache"
 	"racedet/internal/rt/event"
+	"racedet/internal/rt/journal"
 	"racedet/internal/rt/ownership"
 	"racedet/internal/rt/sitestate"
+	"racedet/internal/rt/spsc"
 	"racedet/internal/rt/trie"
 )
 
@@ -215,59 +229,52 @@ type history interface {
 	LocationCount() int
 }
 
-// Detector is the composed runtime detector.
+// Detector is the composed runtime detector: the router front half
+// plus its workers.
 type Detector struct {
 	opts Options
 
-	intern *event.Interner
-	locks  *event.LockTracker
-	cache  *cache.Cache
-	owner  *ownership.Table
-	trie   history
-	sites  *sitestate.Table // non-nil iff per-site throttling is on
-	stats  Stats
-	parent map[event.ThreadID]event.ThreadID
+	locks *event.LockTracker
+	cache *cache.Cache
+	owner *ownership.Table
+	sites *sitestate.Table // non-nil iff per-site throttling is on
+	stats Stats            // router-side counters; worker counters join at read time
+	seq   uint64           // detection-order stamp of the last shipped access
 
-	reports     []Report
-	reportedLoc map[event.Loc]struct{}
-	reportedObj map[event.ObjID]struct{}
+	// inline is New's worker, called synchronously by ship; nil when the
+	// workers are ring-fed. workers lists every worker either way.
+	inline  *worker
+	workers []*worker
+	fan     *fanout // ring-fed plumbing (sharded.go); nil when inline
 }
 
 var _ event.BatchSink = (*Detector)(nil)
 
-// New builds a detector with the given options.
+// New builds a detector whose router drives a single inline worker.
+// The fault-tolerance options (JournalCap, RetryBudget, QueueDepth,
+// DropOnBackpressure, Faults) concern the ring-fed workers and are
+// ignored here.
 func New(opts Options) *Detector {
 	it := event.NewInterner()
+	d := newRouter(opts, it)
+	d.inline = newWorker(0, 1, opts, it)
+	d.workers = []*worker{d.inline}
+	return d
+}
+
+// newRouter builds the front half shared by New and NewSharded.
+func newRouter(opts Options, it *event.Interner) *Detector {
 	d := &Detector{
-		opts:        opts,
-		intern:      it,
-		locks:       event.NewLockTrackerInterned(it),
-		cache:       cache.New(),
-		owner:       ownership.New(),
-		parent:      make(map[event.ThreadID]event.ThreadID),
-		reportedLoc: make(map[event.Loc]struct{}),
-		reportedObj: make(map[event.ObjID]struct{}),
+		opts:  opts,
+		locks: event.NewLockTrackerInterned(it),
+		cache: cache.New(),
+		owner: ownership.New(),
 	}
 	if opts.MaxCacheThreads > 0 {
 		d.cache = cache.NewBounded(opts.MaxCacheThreads)
 	}
 	if opts.MaxOwnerLocations > 0 {
 		d.owner = ownership.NewBounded(opts.MaxOwnerLocations)
-	}
-	switch {
-	case opts.PackedTrie:
-		d.trie = trie.NewPacked()
-	case opts.NoTBot:
-		d.trie = trie.NewNoTBot()
-	case opts.MaxTrieNodes > 0:
-		d.trie = trie.NewBounded(opts.MaxTrieNodes)
-	default:
-		d.trie = trie.New()
-	}
-	if st, ok := d.trie.(interface {
-		SetInterner(*event.Interner)
-	}); ok {
-		st.SetInterner(it)
 	}
 	if sc, on := samplingConfig(opts); on {
 		d.sites = sitestate.New(sc)
@@ -291,63 +298,149 @@ func samplingConfig(opts Options) (sitestate.Config, bool) {
 	}, true
 }
 
-// Interner exposes the per-run lockset intern table (read-only use:
-// resolving LocksetIDs carried by reports).
-func (d *Detector) Interner() *event.Interner { return d.intern }
+// ---------------------------------------------------------------------------
+// results
+//
+// Every accessor first settles the run, then reads the workers. An
+// inline detector never latches: its worker is current after every
+// call, so results may be read partway through the stream and feeding
+// may continue afterwards. A ring-fed detector's first accessor ends
+// its event stream (see finalize); from then on the worker state is
+// frozen and the accessors are safe for concurrent use.
 
-// Err implements the Backend contract; the serial detector cannot fail
-// asynchronously.
-func (d *Detector) Err() error { return nil }
+func (d *Detector) settle() {
+	if d.fan != nil {
+		d.fan.fin.Do(d.finalize)
+	}
+}
 
-// Reports returns the datarace reports in detection order.
-func (d *Detector) Reports() []Report { return d.reports }
-
-// SetDescribeObj installs the object renderer used in reports. The
-// runner sets it after the interpreter (which owns the heap) exists.
-func (d *Detector) SetDescribeObj(fn func(event.ObjID) string) { d.opts.DescribeObj = fn }
+// Reports returns the datarace reports in detection order. Object
+// descriptions are rendered here, at read time.
+func (d *Detector) Reports() []Report {
+	d.settle()
+	var all []shardReport
+	for _, w := range d.workers {
+		all = append(all, w.reports...)
+	}
+	// Sequence order is the detection order of a single inline worker.
+	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	reports := make([]Report, len(all))
+	for i, sr := range all {
+		reports[i] = sr.rep
+		if d.opts.DescribeObj != nil {
+			reports[i].ObjDesc = d.opts.DescribeObj(sr.rep.Access.Loc.Obj)
+		}
+	}
+	return reports
+}
 
 // RacyObjects returns the distinct objects named in reports, sorted —
 // the quantity Table 3 counts.
 func (d *Detector) RacyObjects() []event.ObjID {
-	objs := make([]event.ObjID, 0, len(d.reportedObj))
-	for o := range d.reportedObj {
+	d.settle()
+	set := make(map[event.ObjID]struct{})
+	for _, w := range d.workers {
+		for o := range w.reportedObj {
+			set[o] = struct{}{}
+		}
+	}
+	objs := make([]event.ObjID, 0, len(set))
+	for o := range set {
 		objs = append(objs, o)
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
 	return objs
 }
 
-// Stats returns the aggregated work counters.
+// Stats returns the router's filter counters plus the trie and
+// recovery counters summed across workers.
 func (d *Detector) Stats() Stats {
+	d.settle()
 	s := d.stats
 	s.OwnerLocations = d.owner.Locations()
 	s.OwnerOverflows = d.owner.Overflows()
-	s.Trie = d.trie.Stats()
 	s.Cache = d.cache.Stats()
 	if d.sites != nil {
 		s.Sample = d.sites.Stats()
 	}
+	if d.fan != nil {
+		d.fan.addRecovery(&s.Recovery)
+	}
+	for _, w := range d.workers {
+		addTrieStats(&s.Trie, w.trie.Stats())
+		w.addRecovery(&s.Recovery)
+	}
 	return s
 }
 
+func addTrieStats(dst *trie.Stats, src trie.Stats) {
+	dst.Events += src.Events
+	dst.WeaknessHits += src.WeaknessHits
+	dst.RaceChecks += src.RaceChecks
+	dst.NodesVisited += src.NodesVisited
+	dst.Races += src.Races
+	dst.NodesAllocated += src.NodesAllocated
+	dst.NodesPruned += src.NodesPruned
+	dst.LocationsStored += src.LocationsStored
+	dst.Collapses += src.Collapses
+	dst.NodesCollapsed += src.NodesCollapsed
+	dst.CollapseHits += src.CollapseHits
+}
+
 // TrieNodeCount exposes the history size (space metric).
-func (d *Detector) TrieNodeCount() int { return d.trie.NodeCount() }
+func (d *Detector) TrieNodeCount() int {
+	d.settle()
+	n := 0
+	for _, w := range d.workers {
+		n += w.trie.NodeCount()
+	}
+	return n
+}
 
 // TrieLocationCount exposes the number of locations with history.
-func (d *Detector) TrieLocationCount() int { return d.trie.LocationCount() }
+func (d *Detector) TrieLocationCount() int {
+	d.settle()
+	n := 0
+	for _, w := range d.workers {
+		n += w.trie.LocationCount()
+	}
+	return n
+}
+
+// Err reports every unrecovered worker failure, joined. Only ring-fed
+// workers recover panics; an inline worker's panic propagates to the
+// producer like any other sink's. Supervised shards that recovered, or
+// degraded to the Eraser path, contribute nothing here: the run
+// completed and Stats().Recovery tells the story.
+func (d *Detector) Err() error {
+	d.settle()
+	var errs []error
+	for _, w := range d.workers {
+		if w.err != nil {
+			errs = append(errs, w.err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// SetDescribeObj installs the object renderer used in reports. The
+// runner sets it after the interpreter (which owns the heap) exists;
+// it runs only when reports are read.
+func (d *Detector) SetDescribeObj(fn func(event.ObjID) string) { d.opts.DescribeObj = fn }
 
 // ---------------------------------------------------------------------------
-// event.Sink implementation
+// event.Sink implementation (the router)
 
 // ThreadStarted implements event.Sink.
 func (d *Detector) ThreadStarted(child, parent event.ThreadID) {
-	d.parent[child] = parent
 	if !d.opts.NoPseudoLocks {
 		d.locks.ThreadStarted(child, parent)
 	}
 }
 
-// ThreadFinished implements event.Sink.
+// ThreadFinished implements event.Sink. Thread lifecycle never reaches
+// a worker: its only consumers, the lock tracker and the access cache,
+// live on the router.
 func (d *Detector) ThreadFinished(t event.ThreadID) {
 	if !d.opts.NoPseudoLocks {
 		d.locks.ThreadFinished(t)
@@ -362,7 +455,8 @@ func (d *Detector) Joined(joiner, joinee event.ThreadID) {
 	}
 }
 
-// MonitorEnter implements event.Sink.
+// MonitorEnter implements event.Sink. Workers see the lock environment
+// only through the locksets ship attaches to later accesses.
 func (d *Detector) MonitorEnter(t event.ThreadID, lock event.ObjID, depth int) {
 	d.locks.MonitorEnter(t, lock, depth)
 }
@@ -440,17 +534,22 @@ func (d *Detector) filter(t event.ThreadID, loc event.Loc, kind event.Kind) (eve
 	return loc, true
 }
 
-// deliver is the back half of the pipeline for a filter survivor:
-// materialize the (interned) lockset, run the trie, and insert into
-// the cache so equal-or-stronger accesses short-circuit.
-func (d *Detector) deliver(a event.Access, loc event.Loc) {
+// ship hands a filter survivor to its worker: materialize the
+// (interned) lockset, stamp the detection order, run the inline
+// worker's trie stage right here or route to a ring-fed worker, and
+// insert into the cache so equal-or-stronger accesses short-circuit.
+func (d *Detector) ship(a event.Access, loc event.Loc) {
 	d.stats.Shipped++
 	a.Loc = loc
-	a.Locks = d.locks.Held(a.Thread)
+	a.Locks = d.locks.Held(a.Thread) // immutable canonical slice
 	a.LockID = d.locks.HeldID(a.Thread)
-	race, info := d.trie.Process(a)
-	if race {
-		d.report(a, info)
+	d.seq++
+	if w := d.inline; w != nil {
+		if race, info := w.trie.Process(a); race {
+			w.report(&a, d.seq, info)
+		}
+	} else {
+		d.route(a)
 	}
 	if !d.opts.NoCache {
 		top, ok := d.locks.Top(a.Thread)
@@ -469,7 +568,7 @@ func (d *Detector) Access(a event.Access) {
 	}
 	loc, forward := d.filter(a.Thread, a.Loc, a.Kind)
 	if forward {
-		d.deliver(a, loc)
+		d.ship(a, loc)
 	}
 }
 
@@ -478,7 +577,7 @@ func (d *Detector) Access(a event.Access) {
 // lockset is computed at most once for the whole batch. Iterating by
 // pointer keeps the hot filter front free of the per-element 96-byte
 // copy that calling Access in a loop would cost; the full event is
-// copied only for filter survivors, which deliver owns by value. The
+// copied only for filter survivors, which ship owns by value. The
 // batch slice itself is never retained or mutated (MultiSink hands
 // the same slice to every batch-aware child).
 func (d *Detector) AccessBatch(batch []event.Access) {
@@ -492,28 +591,125 @@ func (d *Detector) AccessBatch(batch []event.Access) {
 		a := &batch[i]
 		loc, forward := d.filter(a.Thread, a.Loc, a.Kind)
 		if forward {
-			d.deliver(*a, loc)
+			d.ship(*a, loc)
 		}
 	}
 }
 
-func (d *Detector) report(a event.Access, info trie.RaceInfo) {
-	if !d.opts.ReportAll {
-		if _, dup := d.reportedLoc[a.Loc]; dup {
+// ---------------------------------------------------------------------------
+// the worker: the trie stage
+
+// shardReport is a worker-side report stamped with the triggering
+// access's sequence number for the deterministic merge. ObjDesc stays
+// empty: DescribeObj reads the interpreter's heap, which a ring-fed
+// worker must not touch while the run is live.
+type shardReport struct {
+	rep Report
+	seq uint64
+}
+
+// worker owns one trie slice: the whole location space when inline,
+// one shard's share when ring-fed. A ring-fed worker's fields are
+// goroutine-local; the router talks to it only through the two rings.
+type worker struct {
+	idx     int
+	nshards int
+	opts    Options
+	intern  *event.Interner // renders reported PriorLocks
+	trie    history
+
+	reports     []shardReport
+	reportedLoc map[event.Loc]struct{}
+	reportedObj map[event.ObjID]struct{}
+
+	// Ring-fed only (sharded.go, supervise.go). journal is nil when
+	// Options.JournalCap == 0 and the worker runs unsupervised.
+	ring     *spsc.Ring[shardBatch] // router → worker: routed batches
+	free     *spsc.Ring[shardBatch] // worker → router: recycled buffers
+	events   uint64                 // accesses processed, the fault-hook index
+	err      error
+	journal  *journal.Log[shardBatch]
+	ckpt     journal.Checkpoint[workerSnapshot]
+	rec      RecoveryStats
+	degraded *degradedShard // non-nil once the shard fell back to Eraser
+}
+
+// newWorker builds worker idx of n with an empty trie slice. The
+// inline worker shares the router's interner (same goroutine); a
+// ring-fed worker must get its own, since the producer keeps mutating
+// the router's.
+func newWorker(idx, n int, opts Options, it *event.Interner) *worker {
+	w := &worker{idx: idx, nshards: n, opts: opts, intern: it}
+	w.freshState()
+	return w
+}
+
+// freshState (re)builds the worker's empty trie slice; used at
+// construction and when a restart finds no checkpoint to restore.
+func (w *worker) freshState() {
+	w.reportedLoc = make(map[event.Loc]struct{})
+	w.reportedObj = make(map[event.ObjID]struct{})
+	w.reports = nil
+	w.events = 0
+	switch {
+	case w.opts.PackedTrie:
+		w.trie = trie.NewPacked()
+	case w.opts.NoTBot:
+		w.trie = trie.NewNoTBot()
+	case w.opts.MaxTrieNodes > 0:
+		w.trie = trie.NewBounded(splitBudget(w.opts.MaxTrieNodes, w.nshards))
+	default:
+		w.trie = trie.New()
+	}
+	if st, ok := w.trie.(interface {
+		SetInterner(*event.Interner)
+	}); ok {
+		st.SetInterner(w.intern)
+	}
+}
+
+// splitBudget divides a global memory bound across n shards, never
+// below 1 per shard.
+func splitBudget(total, n int) int {
+	b := total / n
+	if b < 1 {
+		b = 1
+	}
+	return b
+}
+
+// report records a race the worker's trie found on shipped access a.
+func (w *worker) report(a *event.Access, seq uint64, info trie.RaceInfo) {
+	if !w.opts.ReportAll {
+		if _, dup := w.reportedLoc[a.Loc]; dup {
 			return
 		}
 	}
-	d.reportedLoc[a.Loc] = struct{}{}
-	d.reportedObj[a.Loc.Obj] = struct{}{}
-	desc := ""
-	if d.opts.DescribeObj != nil {
-		desc = d.opts.DescribeObj(a.Loc.Obj)
-	}
-	d.reports = append(d.reports, Report{
-		Access:      a,
-		PriorThread: info.PriorThread,
-		PriorLocks:  info.PriorLocks,
-		PriorKind:   info.PriorKind,
-		ObjDesc:     desc,
+	w.reportedLoc[a.Loc] = struct{}{}
+	w.reportedObj[a.Loc.Obj] = struct{}{}
+	w.reports = append(w.reports, shardReport{
+		rep: Report{
+			Access:      *a,
+			PriorThread: info.PriorThread,
+			PriorLocks:  info.PriorLocks,
+			PriorKind:   info.PriorKind,
+		},
+		seq: seq,
 	})
+}
+
+// addRecovery adds the worker's supervision counters to rec.
+func (w *worker) addRecovery(rec *RecoveryStats) {
+	rec.Restarts += w.rec.Restarts
+	rec.Checkpoints += w.rec.Checkpoints
+	rec.CheckpointCorruptions += w.rec.CheckpointCorruptions
+	if w.degraded != nil {
+		rec.DegradedShards++
+	}
+	rec.DegradedEvents += w.rec.DegradedEvents
+	if w.journal != nil {
+		js := w.journal.Stats()
+		rec.Journaled += js.Appended
+		rec.Replayed += js.Replayed
+	}
 }

@@ -37,7 +37,7 @@ func TestConcurrentBackendsErrIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	backends := make([]Backend, sessions)
+	backends := make([]*Detector, sessions)
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
 		opts := Options{}
@@ -113,7 +113,7 @@ func TestConcurrentBackendsSupervisedIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	backends := make([]Backend, sessions)
+	backends := make([]*Detector, sessions)
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
 		opts := Options{JournalCap: 64, RetryBudget: 3}

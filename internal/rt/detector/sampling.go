@@ -1,12 +1,10 @@
-// Adaptive per-site throttling: the sampled access pipelines of the
-// serial detector and the sharded router.
+// Adaptive per-site throttling: the router's sampled access pipeline.
 //
-// Both back ends run the same decision procedure, synchronously, in
-// serial event order, against identical sitestate/ownership/cache
-// state — so a sampled sharded run ships exactly the event stream the
-// sampled serial run ships and their merged reports stay
-// byte-identical (pinned by TestSampledShardedMatchesSerial and the
-// corpus differentials).
+// The decision procedure runs on the router, synchronously, in event
+// order, whichever workers are attached — so a sampled ring-fed run
+// ships exactly the event stream the sampled inline run ships and
+// their merged reports stay byte-identical (pinned by
+// TestSampledShardedMatchesSerial and the corpus differentials).
 //
 // Per access at an ARMED site: the normal pipeline runs (cache →
 // ownership → trie) and the outcome is recorded as a site observation;
@@ -56,8 +54,8 @@ import (
 	"racedet/internal/rt/ownership"
 )
 
-// sampledAccess is the serial detector's per-access pipeline when
-// throttling is on (d.sites != nil). It never mutates *a.
+// sampledAccess is the router's per-access pipeline when throttling is
+// on (d.sites != nil). It never mutates *a.
 func (d *Detector) sampledAccess(a *event.Access) {
 	d.stats.Accesses++
 	loc := a.Loc
@@ -127,7 +125,7 @@ func (d *Detector) sampledAccess(a *event.Access) {
 		return
 	}
 	d.sites.RecordShip(loc, t, wr, len(a.Locks) == 0)
-	d.deliver(*a, loc)
+	d.ship(*a, loc)
 	if !d.opts.NoCache {
 		top, ok := d.locks.Top(t)
 		d.cache.Insert(t, loc, a.Kind, top, ok)
@@ -142,96 +140,10 @@ func (d *Detector) sampledAccess(a *event.Access) {
 // traffic re-ships on every repeat).
 func (d *Detector) shipFromStub(a *event.Access, loc event.Loc, t event.ThreadID, wr bool) {
 	d.sites.RecordShip(loc, t, wr, len(a.Locks) == 0)
-	d.deliver(*a, loc)
+	d.ship(*a, loc)
 	if !d.opts.NoCache {
 		top, ok := d.locks.Top(t)
 		d.cache.Insert(t, loc, a.Kind, top, ok)
 	}
 	d.sites.ForcedShip()
-}
-
-// sampledAccess is the sharded router's twin of the serial pipeline
-// above; survivors are routed to the owning shard instead of processed
-// inline. Any change here must be mirrored there.
-func (s *Sharded) sampledAccess(a *event.Access) {
-	s.stats.Accesses++
-	loc := a.Loc
-	if s.opts.FieldsMerged && loc.Slot >= event.ArraySlot {
-		loc.Slot = 0
-	}
-	t := a.Thread
-	id := s.sites.SiteID(a.Pos, a.Kind)
-	wr := a.Kind == event.Write
-
-	if s.sites.Demoted(id) {
-		switch {
-		case s.sites.ConsumeArmed(loc):
-			s.sites.Rearm(id)
-		default:
-			forward, becameShared := s.owner.Filter(t, loc)
-			switch {
-			case becameShared:
-				if !s.opts.NoCache {
-					s.cache.EvictLocation(loc)
-				}
-				s.sites.Rearm(id)
-				s.sites.ConsumeArmed(loc)
-				s.shipFromStub(a, loc, t, wr)
-			case !forward:
-				s.stats.OwnerSkips++
-				s.sites.Skipped()
-			case s.owner.StateOf(loc) != ownership.Shared:
-				s.shipFromStub(a, loc, t, wr)
-			case s.sites.Touch(id, loc, t, wr):
-				s.sites.Suppress()
-			default:
-				// Racy-shaped: stays demoted, cache absorbs repeats (see
-				// the serial twin for the rationale).
-				if !s.opts.NoCache && s.cache.Lookup(t, loc, a.Kind) {
-					s.stats.CacheHits++
-					s.sites.Skipped()
-					return
-				}
-				s.shipFromStub(a, loc, t, wr)
-			}
-			return
-		}
-	}
-
-	if !s.opts.NoCache && s.cache.Lookup(t, loc, a.Kind) {
-		s.stats.CacheHits++
-		s.sites.Observe(id, false)
-		return
-	}
-	forward, becameShared := s.owner.Filter(t, loc)
-	if becameShared && !s.opts.NoCache {
-		s.cache.EvictLocation(loc)
-	}
-	if !forward {
-		s.stats.OwnerSkips++
-		if !s.opts.NoCache {
-			top, ok := s.locks.Top(t)
-			s.cache.Insert(t, loc, a.Kind, top, ok)
-		}
-		s.sites.Observe(id, false)
-		return
-	}
-	s.sites.RecordShip(loc, t, wr, len(a.Locks) == 0)
-	s.route(*a, loc)
-	if !s.opts.NoCache {
-		top, ok := s.locks.Top(t)
-		s.cache.Insert(t, loc, a.Kind, top, ok)
-	}
-	s.sites.Observe(id, true)
-}
-
-// shipFromStub is the sharded twin of the serial helper above.
-func (s *Sharded) shipFromStub(a *event.Access, loc event.Loc, t event.ThreadID, wr bool) {
-	s.sites.RecordShip(loc, t, wr, len(a.Locks) == 0)
-	s.route(*a, loc)
-	if !s.opts.NoCache {
-		top, ok := s.locks.Top(t)
-		s.cache.Insert(t, loc, a.Kind, top, ok)
-	}
-	s.sites.ForcedShip()
 }

@@ -1,30 +1,26 @@
-// Location-sharded parallel detection back end.
+// Ring-fed workers: the location-sharded back half of the pipeline.
 //
-// The hot path is split by cost, not by layer symmetry. The router —
-// running on the interpreter's goroutine, as the event.Sink — owns
-// the cheap, high-hit-rate layers exactly as the serial detector
-// does: the per-thread access caches (§4, including the inlined
-// QuickCheck fast path) and the §7 ownership filter. Only accesses
-// that survive both filters — the minority that actually needs trie
-// work — are lockset-materialized, stamped with a global sequence
-// number, batched, and pushed over a bounded SPSC ring buffer to one
-// of N worker goroutines chosen by hash(ObjID, slot). Each worker
-// owns the trie slice for its share of the location space and nothing
-// else, so workers never share mutable state and no control messages
-// (lock releases, thread lifecycle) ever cross the rings: the cache
-// they would maintain lives upstream on the router.
+// NewSharded builds the same router as New and attaches N worker
+// goroutines instead of one inline worker. The router still runs every
+// filter layer — the per-thread access caches (§4, including the
+// inlined QuickCheck fast path), the §7 ownership filter and the
+// sampling throttle — synchronously in event order. Only accesses that
+// survive them are lockset-materialized, stamped with a sequence
+// number, batched, and pushed over a bounded SPSC ring to the worker
+// chosen by hash(ObjID, slot). Each worker owns the trie slice for its
+// share of the location space and nothing else, so workers never share
+// mutable state and no control messages (lock releases, thread
+// lifecycle) ever cross the rings.
 //
-// Determinism contract: the router runs the cache and ownership
-// layers synchronously in event order, so their evolution — hits,
-// evictions, ownership transitions, stats — is bit-identical to the
-// serial back end's, and the stream of trie-bound accesses is exactly
-// the stream the serial trie processes. A location's accesses all
-// hash to the same shard and arrive in stream order, so every
-// per-location trie evolution is identical too. Reports are recorded
-// with their access's sequence number and merged in sequence order,
-// which is exactly the serial detection order; the merged reports are
-// byte-identical to the serial ones (asserted corpus-wide by the
-// differential tests).
+// Determinism contract: the filter layers are the inline detector's
+// own code on the same router, so their evolution — hits, evictions,
+// ownership transitions, sampling decisions, stats — and the stream of
+// trie-bound accesses are identical to an inline run's. A location's
+// accesses all hash to the same shard and arrive in stream order, so
+// every per-location trie evolution is identical too. Reports carry
+// their access's sequence number and merge in sequence order, which is
+// the inline detection order; merged reports are byte-identical to
+// inline ones (asserted corpus-wide by the differential tests).
 //
 // Allocation discipline: batch buffers are recycled. Each worker
 // returns processed buffers to the router over a second SPSC ring
@@ -34,53 +30,26 @@
 // a package-level pool shared across runs, so steady-state routing
 // allocates nothing.
 //
-// Bounded-memory options: MaxCacheThreads and MaxOwnerLocations now
-// apply to the single router-side cache and ownership table, exactly
-// as in the serial back end. Only MaxTrieNodes is still split evenly
-// across shards; bounded-trie collapse decisions then depend on
-// per-shard occupancy, so that configuration trades the
-// byte-equivalence guarantee for the usual "strictly over-reports,
-// never misses" degradation.
+// Bounded-memory options: MaxCacheThreads and MaxOwnerLocations bound
+// the router's single cache and ownership table, exactly as inline.
+// Only MaxTrieNodes is split evenly across shards; bounded-trie
+// collapse decisions then depend on per-shard occupancy, so that
+// configuration trades byte-equivalence for the usual "strictly
+// over-reports, never misses" degradation.
 package detector
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
-	"racedet/internal/rt/cache"
 	"racedet/internal/rt/event"
 	"racedet/internal/rt/journal"
-	"racedet/internal/rt/ownership"
-	"racedet/internal/rt/sitestate"
 	"racedet/internal/rt/spsc"
-	"racedet/internal/rt/trie"
 )
 
 // DefaultQueueDepth is the per-shard router→worker ring capacity in
 // batches when Options.QueueDepth is zero.
 const DefaultQueueDepth = 8
-
-// Backend is what the pipeline needs from a detection back end; both
-// the serial Detector and Sharded satisfy it.
-type Backend interface {
-	event.Sink
-	Reports() []Report
-	RacyObjects() []event.ObjID
-	Stats() Stats
-	TrieNodeCount() int
-	TrieLocationCount() int
-	SetDescribeObj(func(event.ObjID) string)
-	// Err reports an asynchronous back-end failure (a worker panic);
-	// valid after the run completes.
-	Err() error
-}
-
-var (
-	_ Backend = (*Detector)(nil)
-	_ Backend = (*Sharded)(nil)
-)
 
 // shardAccess is one routed access: the event — lockset already
 // materialized by the router — plus the global order stamp for the
@@ -91,9 +60,7 @@ type shardAccess struct {
 }
 
 // shardBatch is the unit that crosses a shard ring: a run of routed
-// accesses in stream order. (All control events are absorbed by the
-// router's cache and lock tracker; only access batches ever reach a
-// worker.)
+// accesses in stream order.
 type shardBatch = []shardAccess
 
 // batchPool recycles batch buffers across runs: buffers that miss a
@@ -124,61 +91,13 @@ func putBatch(b shardBatch) {
 	batchPool.Put(b[:0])
 }
 
-// shardReport is a worker-side report stamped with the triggering
-// access's sequence number for the deterministic merge.
-type shardReport struct {
-	rep Report
-	seq uint64
-}
-
-// worker owns one shard's trie slice. All fields are goroutine-local;
-// the router communicates only through the two rings.
-type worker struct {
-	idx     int
-	nshards int
-	opts    Options
-	ring    *spsc.Ring[shardBatch] // router → worker: routed batches
-	free    *spsc.Ring[shardBatch] // worker → router: recycled buffers
-	trie    history
-
-	reports     []shardReport
-	reportedLoc map[event.Loc]struct{}
-	reportedObj map[event.ObjID]struct{}
-	err         error
-
-	// Supervision state (see supervise.go); journal is nil when
-	// Options.JournalCap == 0 and the worker runs unsupervised.
-	journal  *journal.Log[shardBatch]
-	ckpt     journal.Checkpoint[workerSnapshot]
-	events   uint64 // accesses processed, the fault-hook index
-	rec      RecoveryStats
-	degraded *degradedShard // non-nil once the shard fell back to Eraser
-}
-
-// Sharded is the parallel Backend. It implements event.Sink (and
-// BatchSink, and the interpreter's QuickCheck fast path) on the
-// producer side; results become available once the event stream ends
-// (the first result accessor finalizes the run).
-type Sharded struct {
-	opts    Options
-	workers []*worker
-	pending []shardBatch // per-shard router-side batch buffers
+// fanout is the router-side plumbing of the ring-fed workers. Its
+// fields belong to the producer goroutine until finalize.
+type fanout struct {
+	pending []shardBatch // per-shard batch buffers being filled
 	batch   int
 
-	intern *event.Interner
-	locks  *event.LockTracker
-	cache  *cache.Cache
-	owner  *ownership.Table
-	sites  *sitestate.Table // non-nil iff per-site throttling is on
-	seq    uint64
-
-	// Router-side filter accounting: Accesses/CacheHits/OwnerSkips are
-	// counted here, in exactly the serial order, so they (and the
-	// cache/ownership stats) match the serial back end bit for bit.
-	stats Stats
-
-	// Router-side backpressure accounting (producer goroutine only
-	// until finalize merges it into stats.Recovery).
+	// Backpressure accounting.
 	depthHigh []int // per-shard ring high-water mark, in batches
 	dropped   uint64
 	droppedEv uint64
@@ -186,110 +105,46 @@ type Sharded struct {
 
 	wg  sync.WaitGroup
 	fin sync.Once
-
-	reports []Report
-	objs    []event.ObjID
-	nodes   int
-	locs    int
-	err     error
 }
 
-// NewSharded builds a back end with n location-sharded workers
-// (n >= 1) that consume access batches of up to batchSize events
-// (<= 0 selects event.DefaultBatchSize). Options are interpreted as
-// in New; the trie memory bound is split evenly across shards.
-func NewSharded(opts Options, n, batchSize int) *Sharded {
+// NewSharded builds a detector whose router feeds n location-sharded
+// worker goroutines (n >= 1) with access batches of up to batchSize
+// events (<= 0 selects event.DefaultBatchSize). Options are
+// interpreted as in New; the trie memory bound is split evenly across
+// shards. Results become available once the event stream ends: the
+// first result accessor ends it.
+func NewSharded(opts Options, n, batchSize int) *Detector {
 	if n < 1 {
 		n = 1
 	}
 	if batchSize <= 0 {
 		batchSize = event.DefaultBatchSize
 	}
-	it := event.NewInterner()
-	s := &Sharded{
-		opts:      opts,
+	d := newRouter(opts, event.NewInterner())
+	d.fan = &fanout{
 		pending:   make([]shardBatch, n),
 		batch:     batchSize,
-		intern:    it,
-		locks:     event.NewLockTrackerInterned(it),
-		cache:     cache.New(),
-		owner:     ownership.New(),
 		depthHigh: make([]int, n),
-	}
-	if opts.MaxCacheThreads > 0 {
-		s.cache = cache.NewBounded(opts.MaxCacheThreads)
-	}
-	if opts.MaxOwnerLocations > 0 {
-		s.owner = ownership.NewBounded(opts.MaxOwnerLocations)
-	}
-	if sc, on := samplingConfig(opts); on {
-		// The throttling table lives router-side with the other filter
-		// layers, so its evolution is serial-order deterministic and
-		// untouched by worker restarts.
-		s.sites = sitestate.New(sc)
-		s.owner.SetOnContact(s.sites.Contact)
 	}
 	depth := opts.QueueDepth
 	if depth <= 0 {
 		depth = DefaultQueueDepth
 	}
 	for i := 0; i < n; i++ {
-		w := &worker{
-			idx:     i,
-			nshards: n,
-			opts:    opts,
-			ring:    spsc.New[shardBatch](depth),
-			// One spare lap of freelist slots beyond the ring depth:
-			// every buffer in flight has a place to come home to, so
-			// in steady state the freelist never overflows into the
-			// pool.
-			free: spsc.New[shardBatch](depth + 2),
-		}
-		w.freshState()
+		w := newWorker(i, n, opts, event.NewInterner())
+		w.ring = spsc.New[shardBatch](depth)
+		// One spare lap of freelist slots beyond the ring depth: every
+		// buffer in flight has a place to come home to, so in steady
+		// state the freelist never overflows into the pool.
+		w.free = spsc.New[shardBatch](depth + 2)
 		if opts.JournalCap > 0 {
 			w.journal = journal.New[shardBatch](opts.JournalCap)
 		}
-		s.workers = append(s.workers, w)
-		s.wg.Add(1)
-		go w.run(&s.wg)
+		d.workers = append(d.workers, w)
+		d.fan.wg.Add(1)
+		go w.run(&d.fan.wg)
 	}
-	return s
-}
-
-// freshState (re)builds the worker's empty trie slice; used at
-// construction and when a restart finds no checkpoint to restore.
-func (w *worker) freshState() {
-	w.reportedLoc = make(map[event.Loc]struct{})
-	w.reportedObj = make(map[event.ObjID]struct{})
-	w.reports = nil
-	w.events = 0
-	switch {
-	case w.opts.PackedTrie:
-		w.trie = trie.NewPacked()
-	case w.opts.NoTBot:
-		w.trie = trie.NewNoTBot()
-	case w.opts.MaxTrieNodes > 0:
-		w.trie = trie.NewBounded(splitBudget(w.opts.MaxTrieNodes, w.nshards))
-	default:
-		w.trie = trie.New()
-	}
-	if st, ok := w.trie.(interface {
-		SetInterner(*event.Interner)
-	}); ok {
-		// Worker-local interner: workers must never touch the router's
-		// intern table, which the producer goroutine keeps mutating.
-		st.SetInterner(event.NewInterner())
-	}
-}
-
-// splitBudget divides a global memory bound across n shards, never
-// below 1 per shard.
-func splitBudget(total, n int) int {
-	b := total / n
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return d
 }
 
 func (w *worker) run(wg *sync.WaitGroup) {
@@ -331,8 +186,18 @@ func (w *worker) run(wg *sync.WaitGroup) {
 
 // process applies one routed batch to the shard's trie slice.
 func (w *worker) process(batch shardBatch) {
-	for _, sa := range batch {
-		w.access(sa)
+	for i := range batch {
+		sa := &batch[i]
+		w.events++
+		if f := w.opts.Faults; f != nil {
+			// Fault-injection hook: may sleep (slow worker) or panic. A
+			// panic here is indistinguishable from a detector bug, which
+			// is exactly what the supervision tests need.
+			f.WorkerEvent(w.idx, w.events)
+		}
+		if race, info := w.trie.Process(sa.a); race {
+			w.report(&sa.a, sa.seq, info)
+		}
 	}
 }
 
@@ -349,44 +214,6 @@ func (w *worker) recycle(batch shardBatch) {
 	}
 }
 
-// access replicates the trie stage of Detector.Access; the router has
-// already run the cache and ownership layers and materialized the
-// lock environment.
-func (w *worker) access(sa shardAccess) {
-	w.events++
-	if f := w.opts.Faults; f != nil {
-		// Fault-injection hook: may sleep (slow worker) or panic. A
-		// panic here is indistinguishable from a detector bug, which is
-		// exactly what the supervision tests need.
-		f.WorkerEvent(w.idx, w.events)
-	}
-	race, info := w.trie.Process(sa.a)
-	if race {
-		w.report(sa, info)
-	}
-}
-
-func (w *worker) report(sa shardAccess, info trie.RaceInfo) {
-	if !w.opts.ReportAll {
-		if _, dup := w.reportedLoc[sa.a.Loc]; dup {
-			return
-		}
-	}
-	w.reportedLoc[sa.a.Loc] = struct{}{}
-	w.reportedObj[sa.a.Loc.Obj] = struct{}{}
-	// ObjDesc is filled at merge time: DescribeObj reads the
-	// interpreter's heap, which is mutating while workers run.
-	w.reports = append(w.reports, shardReport{
-		rep: Report{
-			Access:      sa.a,
-			PriorThread: info.PriorThread,
-			PriorLocks:  info.PriorLocks,
-			PriorKind:   info.PriorKind,
-		},
-		seq: sa.seq,
-	})
-}
-
 // shardOf hashes a location to a worker, using the same mixing
 // constants as the access cache so related locations spread evenly.
 func shardOf(loc event.Loc, n int) int {
@@ -394,279 +221,75 @@ func shardOf(loc event.Loc, n int) int {
 	return int((h >> 32) % uint64(n))
 }
 
-// ---------------------------------------------------------------------------
-// producer side (event.Sink, router)
-
-var _ event.BatchSink = (*Sharded)(nil)
-
-// QuickCheck is the inlined §4 fast path, identical to the serial
-// detector's: a cache hit absorbs the access before the event is even
-// materialized, so the parallel back end pays routing cost only for
-// accesses that need trie work.
-func (s *Sharded) QuickCheck(t event.ThreadID, loc event.Loc, kind event.Kind) bool {
-	// Off under sampling, as in the serial detector: the throttling
-	// layer needs the complete stream.
-	if s.opts.NoCache || s.sites != nil {
-		return false
+// route appends a shipped access to its shard's pending batch and
+// flushes the batch when full.
+func (d *Detector) route(a event.Access) {
+	f := d.fan
+	i := shardOf(a.Loc, len(d.workers))
+	if f.pending[i] == nil {
+		// Freelist first (a buffer the worker already processed), then
+		// the cross-run pool.
+		b, ok := d.workers[i].free.TryPop()
+		if !ok {
+			b = getBatch(f.batch)
+		}
+		f.pending[i] = b
 	}
-	if s.opts.FieldsMerged && loc.Slot >= event.ArraySlot {
-		loc.Slot = 0
+	f.pending[i] = append(f.pending[i], shardAccess{a: a, seq: d.seq})
+	if len(f.pending[i]) >= f.batch {
+		d.flushShard(i)
 	}
-	if s.cache.Lookup(t, loc, kind) {
-		s.stats.Accesses++
-		s.stats.CacheHits++
-		return true
-	}
-	return false
 }
 
-// acquireBatch hands the router an empty buffer for shard i:
-// freelist first (a buffer the worker already processed), then the
-// cross-run pool.
-func (s *Sharded) acquireBatch(i int) shardBatch {
-	if b, ok := s.workers[i].free.TryPop(); ok {
-		return b
-	}
-	return getBatch(s.batch)
-}
-
-func (s *Sharded) flushShard(i int) {
-	if len(s.pending[i]) == 0 {
-		return
-	}
-	w := s.workers[i]
-	if d := w.ring.Len(); d > s.depthHigh[i] {
-		s.depthHigh[i] = d
+func (d *Detector) flushShard(i int) {
+	f := d.fan
+	w := d.workers[i]
+	if n := w.ring.Len(); n > f.depthHigh[i] {
+		f.depthHigh[i] = n
 	}
 	full := w.ring.Full()
-	if f := s.opts.Faults; f != nil && f.QueueFull(i) {
+	if fi := d.opts.Faults; fi != nil && fi.QueueFull(i) {
 		full = true
 	}
 	if full {
-		if s.opts.DropOnBackpressure {
+		if d.opts.DropOnBackpressure {
 			// Lossy policy: batches may be dropped, but every loss is
 			// accounted, so a run can report exactly what it skipped.
-			s.dropped++
-			s.droppedEv += uint64(len(s.pending[i]))
-			s.pending[i] = s.pending[i][:0]
+			f.dropped++
+			f.droppedEv += uint64(len(f.pending[i]))
+			f.pending[i] = f.pending[i][:0]
 			return
 		}
 		// Default policy: block until the worker drains (Push parks the
 		// router only while the ring is actually full). Counted so
 		// operators can see router stalls and resize the rings.
-		s.stalls++
+		f.stalls++
 	}
-	w.ring.Push(s.pending[i])
-	s.pending[i] = nil
+	w.ring.Push(f.pending[i])
+	f.pending[i] = nil
 }
 
-// filter is the router-side front half of the pipeline — stats, field
-// merging, cache lookup, ownership — shared by Access and AccessBatch.
-// Order of operations (lookup → ownership/evict → insert) matches
-// Detector.filter exactly, so cache state, stats, and the trie-bound
-// stream are bit-identical to the serial back end's.
-func (s *Sharded) filter(t event.ThreadID, loc event.Loc, kind event.Kind) (event.Loc, bool) {
-	s.stats.Accesses++
-	// FieldsMerged collapses instance fields and the array pseudo-slot
-	// (Slot >= ArraySlot) to one location per object; static slots
-	// (Slot <= StaticSlotBase) stay distinct, as in the paper.
-	if s.opts.FieldsMerged && loc.Slot >= event.ArraySlot {
-		loc.Slot = 0
-	}
-
-	// 1. Cache.
-	if !s.opts.NoCache {
-		if s.cache.Lookup(t, loc, kind) {
-			s.stats.CacheHits++
-			return loc, false
+// finalize ends a ring-fed event stream: flush, close the rings, wait
+// for the workers, and drain their freelists into the cross-run pool
+// so the next run's router starts with warm buffers. It runs once,
+// under the fanout's sync.Once, from the first result accessor.
+func (d *Detector) finalize() {
+	f := d.fan
+	// The final flush always blocks: the workers are about to drain
+	// their rings to completion, so the push cannot deadlock, and
+	// dropping the tail of the stream under the lossy policy would be
+	// pure loss.
+	for i, b := range f.pending {
+		if len(b) > 0 {
+			d.workers[i].ring.Push(b)
+			f.pending[i] = nil
 		}
 	}
-
-	// 2. Ownership.
-	if !s.opts.NoOwnership {
-		forward, becameShared := s.owner.Filter(t, loc)
-		if becameShared && !s.opts.NoCache {
-			s.cache.EvictLocation(loc)
-		}
-		if !forward {
-			s.stats.OwnerSkips++
-			if !s.opts.NoCache {
-				top, ok := s.locks.Top(t)
-				s.cache.Insert(t, loc, kind, top, ok)
-			}
-			return loc, false
-		}
-	}
-	return loc, true
-}
-
-// route sends a filter survivor to the owning shard's trie:
-// materialize the (interned) lockset, stamp the detection order,
-// append to the shard's pending batch, and insert into the cache so
-// equal-or-stronger accesses short-circuit (same order as
-// Detector.deliver).
-func (s *Sharded) route(a event.Access, loc event.Loc) {
-	s.stats.Shipped++
-	a.Loc = loc
-	a.Locks = s.locks.Held(a.Thread) // immutable canonical slice
-	a.LockID = s.locks.HeldID(a.Thread)
-	s.seq++
-	i := shardOf(loc, len(s.workers))
-	if s.pending[i] == nil {
-		s.pending[i] = s.acquireBatch(i)
-	}
-	s.pending[i] = append(s.pending[i], shardAccess{a: a, seq: s.seq})
-	if len(s.pending[i]) >= s.batch {
-		s.flushShard(i)
-	}
-
-	if !s.opts.NoCache {
-		top, ok := s.locks.Top(a.Thread)
-		s.cache.Insert(a.Thread, loc, a.Kind, top, ok)
-	}
-}
-
-// Access implements event.Sink: the serial filter pipeline runs here
-// on the router, and only survivors are routed.
-func (s *Sharded) Access(a event.Access) {
-	if s.sites != nil {
-		s.sampledAccess(&a)
-		return
-	}
-	loc, forward := s.filter(a.Thread, a.Loc, a.Kind)
-	if forward {
-		s.route(a, loc)
-	}
-}
-
-// AccessBatch implements event.BatchSink: the Batcher's buffer flushes
-// straight through the filter into the pending shard batches, with the
-// per-element event copy paid only for filter survivors. The batch
-// slice is never retained or mutated.
-func (s *Sharded) AccessBatch(batch []event.Access) {
-	if s.sites != nil {
-		for i := range batch {
-			s.sampledAccess(&batch[i])
-		}
-		return
-	}
-	for i := range batch {
-		a := &batch[i]
-		loc, forward := s.filter(a.Thread, a.Loc, a.Kind)
-		if forward {
-			s.route(*a, loc)
-		}
-	}
-}
-
-// ThreadStarted implements event.Sink.
-func (s *Sharded) ThreadStarted(child, parent event.ThreadID) {
-	if !s.opts.NoPseudoLocks {
-		s.locks.ThreadStarted(child, parent)
-	}
-}
-
-// ThreadFinished implements event.Sink. Purely router-side: the only
-// consumer of thread lifecycle downstream of the lock tracker is the
-// access cache, which lives here.
-func (s *Sharded) ThreadFinished(t event.ThreadID) {
-	if !s.opts.NoPseudoLocks {
-		s.locks.ThreadFinished(t)
-	}
-	s.cache.ThreadFinished(t)
-}
-
-// Joined implements event.Sink.
-func (s *Sharded) Joined(joiner, joinee event.ThreadID) {
-	if !s.opts.NoPseudoLocks {
-		s.locks.Joined(joiner, joinee)
-	}
-}
-
-// MonitorEnter implements event.Sink. Lock acquisition only changes
-// the router-side lock environment; workers see it through the
-// locksets attached to later accesses.
-func (s *Sharded) MonitorEnter(t event.ThreadID, lock event.ObjID, depth int) {
-	s.locks.MonitorEnter(t, lock, depth)
-}
-
-// MonitorExit implements event.Sink. A full release evicts the cache
-// entries guarded by the lock — a synchronous router-side operation
-// now that the cache lives upstream of the rings.
-func (s *Sharded) MonitorExit(t event.ThreadID, lock event.ObjID, depth int) {
-	s.locks.MonitorExit(t, lock, depth)
-	if depth == 0 && !s.opts.NoCache {
-		s.cache.LockReleased(t, lock)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// results (merge side)
-
-// finalize ends the event stream: flush, close the rings, wait for
-// the workers, and merge their results deterministically. Idempotent
-// and safe under concurrent result accessors (sync.Once); triggered
-// by the first accessor after the run.
-func (s *Sharded) finalize() { s.fin.Do(s.doFinalize) }
-
-func (s *Sharded) doFinalize() {
-	// Final flush always blocks: the workers are about to drain their
-	// rings to completion, so the push cannot deadlock, and dropping
-	// the tail of the stream under the lossy policy would be pure loss.
-	for i := range s.pending {
-		if len(s.pending[i]) > 0 {
-			s.workers[i].ring.Push(s.pending[i])
-			s.pending[i] = nil
-		}
-	}
-	for _, w := range s.workers {
+	for _, w := range d.workers {
 		w.ring.Close()
 	}
-	s.wg.Wait()
-
-	var all []shardReport
-	var errs []error
-	objSet := make(map[event.ObjID]struct{})
-	rec := &s.stats.Recovery
-	rec.DroppedBatches = s.dropped
-	rec.DroppedEvents = s.droppedEv
-	rec.BackpressureStalls = s.stalls
-	// The filter layers live on the router; their stats are already in
-	// s.stats and match the serial back end exactly.
-	s.stats.OwnerLocations = s.owner.Locations()
-	s.stats.OwnerOverflows = s.owner.Overflows()
-	s.stats.Cache = s.cache.Stats()
-	if s.sites != nil {
-		s.stats.Sample = s.sites.Stats()
-	}
-	for i, w := range s.workers {
-		if w.err != nil {
-			errs = append(errs, w.err)
-		}
-		if s.depthHigh[i] > rec.QueueHighWater {
-			rec.QueueHighWater = s.depthHigh[i]
-		}
-		rec.Restarts += w.rec.Restarts
-		rec.Checkpoints += w.rec.Checkpoints
-		rec.CheckpointCorruptions += w.rec.CheckpointCorruptions
-		if w.degraded != nil {
-			rec.DegradedShards++
-		}
-		rec.DegradedEvents += w.rec.DegradedEvents
-		if w.journal != nil {
-			js := w.journal.Stats()
-			rec.Journaled += js.Appended
-			rec.Replayed += js.Replayed
-		}
-		all = append(all, w.reports...)
-		for o := range w.reportedObj {
-			objSet[o] = struct{}{}
-		}
-		addTrieStats(&s.stats.Trie, w.trie.Stats())
-		s.nodes += w.trie.NodeCount()
-		s.locs += w.trie.LocationCount()
-		// Drain the freelist into the cross-run pool: the next run's
-		// router starts with warm buffers instead of fresh allocations.
+	f.wg.Wait()
+	for _, w := range d.workers {
 		for {
 			b, ok := w.free.TryPop()
 			if !ok {
@@ -675,81 +298,16 @@ func (s *Sharded) doFinalize() {
 			putBatch(b)
 		}
 	}
-	// All worker failures are preserved, not just the first: a run that
-	// lost several shards should say so.
-	s.err = errors.Join(errs...)
-	// Sequence order is the serial back end's detection order.
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	s.reports = make([]Report, len(all))
-	for i, sr := range all {
-		s.reports[i] = sr.rep
-		if s.opts.DescribeObj != nil {
-			s.reports[i].ObjDesc = s.opts.DescribeObj(sr.rep.Access.Loc.Obj)
+}
+
+// addRecovery adds the router's backpressure counters to rec.
+func (f *fanout) addRecovery(rec *RecoveryStats) {
+	rec.DroppedBatches += f.dropped
+	rec.DroppedEvents += f.droppedEv
+	rec.BackpressureStalls += f.stalls
+	for _, h := range f.depthHigh {
+		if h > rec.QueueHighWater {
+			rec.QueueHighWater = h
 		}
 	}
-	s.objs = make([]event.ObjID, 0, len(objSet))
-	for o := range objSet {
-		s.objs = append(s.objs, o)
-	}
-	sort.Slice(s.objs, func(i, j int) bool { return s.objs[i] < s.objs[j] })
-}
-
-func addTrieStats(dst *trie.Stats, src trie.Stats) {
-	dst.Events += src.Events
-	dst.WeaknessHits += src.WeaknessHits
-	dst.RaceChecks += src.RaceChecks
-	dst.NodesVisited += src.NodesVisited
-	dst.Races += src.Races
-	dst.NodesAllocated += src.NodesAllocated
-	dst.NodesPruned += src.NodesPruned
-	dst.LocationsStored += src.LocationsStored
-	dst.Collapses += src.Collapses
-	dst.NodesCollapsed += src.NodesCollapsed
-	dst.CollapseHits += src.CollapseHits
-}
-
-// Reports implements Backend: the merged reports, in the serial
-// detection order.
-func (s *Sharded) Reports() []Report {
-	s.finalize()
-	return s.reports
-}
-
-// RacyObjects implements Backend.
-func (s *Sharded) RacyObjects() []event.ObjID {
-	s.finalize()
-	return s.objs
-}
-
-// Stats implements Backend: router-side filter counters plus the trie
-// counters aggregated across shards.
-func (s *Sharded) Stats() Stats {
-	s.finalize()
-	return s.stats
-}
-
-// TrieNodeCount implements Backend.
-func (s *Sharded) TrieNodeCount() int {
-	s.finalize()
-	return s.nodes
-}
-
-// TrieLocationCount implements Backend.
-func (s *Sharded) TrieLocationCount() int {
-	s.finalize()
-	return s.locs
-}
-
-// SetDescribeObj implements Backend. The renderer runs only at merge
-// time, after the interpreter has finished, so it may read the heap.
-func (s *Sharded) SetDescribeObj(fn func(event.ObjID) string) { s.opts.DescribeObj = fn }
-
-// Err implements Backend: every unrecovered worker failure, joined.
-// Supervised shards that recovered (or degraded to the Eraser path)
-// contribute nothing here — the run completed and Stats().Recovery
-// tells the story. Safe under concurrent polling: finalization runs
-// exactly once and s.err is written before the Once releases waiters.
-func (s *Sharded) Err() error {
-	s.finalize()
-	return s.err
 }

@@ -1,10 +1,13 @@
 package detector
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"racedet/internal/rt/event"
+	"racedet/internal/rt/trie"
 )
 
 // feedRandom drives a sink through a pseudo-random but deterministic
@@ -70,7 +73,7 @@ func feedRandom(s event.Sink, seed int64, events int) {
 	s.ThreadFinished(0)
 }
 
-func reportStrings(b Backend) []string {
+func reportStrings(b *Detector) []string {
 	var out []string
 	for _, r := range b.Reports() {
 		out = append(out, r.String())
@@ -78,9 +81,22 @@ func reportStrings(b Backend) []string {
 	return out
 }
 
-// TestShardedMatchesSerial is the back-end-level differential check:
-// for several option sets, seeds, and shard counts, the sharded
-// backend's merged reports must be byte-identical to the serial ones.
+// filterStats is the router's share of Stats: everything but the
+// summed trie counters (a packed trie's depend on how an object's
+// slots spread across shards) and the ring-only recovery counters.
+func filterStats(d *Detector) Stats {
+	s := d.Stats()
+	s.Trie = trie.Stats{}
+	s.Recovery = RecoveryStats{}
+	return s
+}
+
+// TestShardedMatchesSerial is the detector-level differential check:
+// for several option sets, seeds, and shard counts, the ring-fed
+// workers' merged reports must be byte-identical to the inline
+// worker's, and every filter counter must match. The bounded filter
+// tables and the sampling throttle live on the router, so they are
+// inside this contract too; only a bounded trie is split.
 func TestShardedMatchesSerial(t *testing.T) {
 	optSets := map[string]Options{
 		"full":        {},
@@ -89,6 +105,9 @@ func TestShardedMatchesSerial(t *testing.T) {
 		"reportall":   {ReportAll: true},
 		"merged":      {FieldsMerged: true},
 		"packed":      {PackedTrie: true},
+		"maxowner":    {MaxOwnerLocations: 6},
+		"maxcache":    {MaxCacheThreads: 1},
+		"sampled":     {SampleK: 2},
 	}
 	for name, opts := range optSets {
 		for seed := int64(0); seed < 5; seed++ {
@@ -96,6 +115,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 			feedRandom(serial, seed, 3000)
 			want := reportStrings(serial)
 			wantObjs := serial.RacyObjects()
+			wantStats := filterStats(serial)
 			for _, shards := range []int{1, 2, 8} {
 				sh := NewSharded(opts, shards, 16)
 				feedRandom(sh, seed, 3000)
@@ -121,6 +141,9 @@ func TestShardedMatchesSerial(t *testing.T) {
 					if gotObjs[i] != wantObjs[i] {
 						t.Fatalf("%s/seed%d/%dshards: racy objects %v, serial %v", name, seed, shards, gotObjs, wantObjs)
 					}
+				}
+				if got := filterStats(sh); !reflect.DeepEqual(got, wantStats) {
+					t.Fatalf("%s/seed%d/%dshards: stats diverge\nsharded: %+v\nserial:  %+v", name, seed, shards, got, wantStats)
 				}
 			}
 		}
@@ -293,6 +316,63 @@ func TestShardedDescribeObjAtMerge(t *testing.T) {
 	for i := range want {
 		if got[i].ObjDesc == "" || got[i].ObjDesc != want[i].ObjDesc {
 			t.Fatalf("report %d ObjDesc = %q, want %q", i, got[i].ObjDesc, want[i].ObjDesc)
+		}
+	}
+}
+
+// readingSink feeds its Detector and reads every result after each
+// 97th access.
+type readingSink struct {
+	*Detector
+	t      *testing.T
+	n      int
+	fewest int // reports at the first read
+}
+
+func (r *readingSink) Access(a event.Access) {
+	r.Detector.Access(a)
+	if r.n++; r.n%97 != 0 {
+		return
+	}
+	reports := len(r.Reports())
+	if r.fewest < 0 {
+		r.fewest = reports
+	}
+	_ = r.RacyObjects()
+	_ = r.Stats()
+	_ = r.TrieNodeCount()
+	_ = r.TrieLocationCount()
+	if err := r.Err(); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// TestInlineAccessorsDoNotLatch: an inline detector's result accessors
+// read live worker state and end nothing, so reading every result
+// repeatedly partway through the stream and feeding on must give the
+// same final results as one uninterrupted run.
+func TestInlineAccessorsDoNotLatch(t *testing.T) {
+	for name, opts := range map[string]Options{"full": {}, "sampled": {SampleK: 2}} {
+		for seed := int64(0); seed < 3; seed++ {
+			whole := New(opts)
+			feedRandomSited(whole, seed, 3000)
+			read := &readingSink{Detector: New(opts), t: t, fewest: -1}
+			feedRandomSited(read, seed, 3000)
+
+			label := fmt.Sprintf("%s/seed%d", name, seed)
+			compareReports(t, label, reportStrings(read.Detector), reportStrings(whole))
+			if len(read.Reports()) <= read.fewest {
+				t.Fatalf("%s: no reports after the first read; the stream cannot show latching", label)
+			}
+			if got, want := read.Stats(), whole.Stats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: stats diverge\nread:  %+v\nwhole: %+v", label, got, want)
+			}
+			if got, want := read.RacyObjects(), whole.RacyObjects(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: racy objects %v, want %v", label, got, want)
+			}
+			if read.TrieNodeCount() != whole.TrieNodeCount() {
+				t.Fatalf("%s: trie nodes %d, want %d", label, read.TrieNodeCount(), whole.TrieNodeCount())
+			}
 		}
 	}
 }

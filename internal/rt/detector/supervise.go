@@ -1,4 +1,4 @@
-// Worker supervision for the sharded back end: journaled replay,
+// Worker supervision for ring-fed workers: journaled replay,
 // checkpoint/restore, bounded restarts with exponential backoff, and
 // degradation to the Eraser lockset path when the retry budget runs
 // out.

@@ -283,7 +283,7 @@ func TestJournalCheckpointCounters(t *testing.T) {
 // scenario must still be reported by a shard that degraded before the
 // racing accesses — the Eraser path is a detector, not a bit bucket.
 func TestDegradedStillReportsKnownRace(t *testing.T) {
-	run := func(b Backend) {
+	run := func(b *Detector) {
 		b.ThreadStarted(0, event.NoThread)
 		b.ThreadStarted(1, 0)
 		loc := event.Loc{Obj: 100, Slot: 0}

@@ -46,8 +46,8 @@
 // The table is deliberately deterministic: its evolution is a pure
 // function of the event stream (no clocks, no randomness), so a
 // sampled run reproduces bit-for-bit under the seeded scheduler, and
-// the serial and sharded back ends — which both run it router-side, in
-// serial event order — stay byte-identical to each other. The state is
+// the detector runs it once, on its router, in event order, whether the
+// trie workers behind it are inline or ring-fed. The state is
 // pointer-free arrays, a dense per-location table and bounded maps,
 // and Clone produces a deep copy for journal checkpoints.
 package sitestate
@@ -233,8 +233,8 @@ type locState struct {
 }
 
 // Table is the per-site throttling table. Not safe for concurrent use;
-// it belongs to the (single) filter owner — the serial detector or the
-// sharded router — exactly like the interner.
+// it belongs to the (single) filter owner — the detector's router —
+// exactly like the interner.
 type Table struct {
 	k          int
 	budget     float64
