@@ -82,37 +82,20 @@ func BenchmarkTable2(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded/batched back end: the same Full-configuration runs through
-// the location-sharded detector and the per-thread batching front end.
-// Compare against BenchmarkTable2/<name>/Full for the speedup; the
+// Batched front end: the same Full-configuration runs with per-thread
+// event batching. Compare against BenchmarkTable2/<name>/Full; the
 // differential test in internal/corpus pins the reports as identical.
 
-func BenchmarkSharded(b *testing.B) {
-	variants := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"Shards1", func() core.Config { c := core.Full(); c.Shards = 1; return c }()},
-		{"Shards4", func() core.Config { c := core.Full(); c.Shards = 4; return c }()},
-		{"Batch64", func() core.Config { c := core.Full(); c.BatchSize = 64; return c }()},
-		{"Shards4Batch64", func() core.Config {
-			c := core.Full()
-			c.Shards = 4
-			c.BatchSize = 64
-			return c
-		}()},
-	}
+func BenchmarkBatched(b *testing.B) {
+	cfg := core.Full()
+	cfg.BatchSize = 64
 	for _, bm := range bench.All() {
 		if !bm.CPUBound {
 			continue
 		}
-		for _, v := range variants {
-			name := fmt.Sprintf("%s/%s", bm.Name, v.name)
-			cfg := v.cfg
-			b.Run(name, func(b *testing.B) {
-				runPipeline(b, bm.Name, cfg)
-			})
-		}
+		b.Run(bm.Name+"/Batch64", func(b *testing.B) {
+			runPipeline(b, bm.Name, cfg)
+		})
 	}
 }
 

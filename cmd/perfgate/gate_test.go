@@ -15,18 +15,18 @@ func cell(b, c string, ns int64) bench.JSONResult {
 	return bench.JSONResult{Benchmark: b, Config: c, NsPerOp: ns}
 }
 
-var gateConfigs = map[string]bool{"Full": true, "FullSharded4Batched64": true}
+var gateConfigs = map[string]bool{"Full": true, "FullBatched64": true}
 
 func TestGatePassesWithinThreshold(t *testing.T) {
 	base := report(
 		cell("mtrt", "Full", 1000),
-		cell("mtrt", "FullSharded4Batched64", 1100),
+		cell("mtrt", "FullBatched64", 1100),
 		cell("mtrt", "Empty", 100),
 	)
 	cur := report(
-		cell("mtrt", "Full", 1240),                  // +24%, inside 25%
-		cell("mtrt", "FullSharded4Batched64", 1000), // improvement
-		cell("mtrt", "Empty", 900),                  // 9x, but not gated
+		cell("mtrt", "Full", 1240),          // +24%, inside 25%
+		cell("mtrt", "FullBatched64", 1000), // improvement
+		cell("mtrt", "Empty", 900),          // 9x, but not gated
 	)
 	rows, violations, warnings := compare(base, cur, gateConfigs, 0.25)
 	if len(violations) != 0 {
@@ -41,8 +41,8 @@ func TestGatePassesWithinThreshold(t *testing.T) {
 }
 
 func TestGateFailsOnRegression(t *testing.T) {
-	base := report(cell("tsp", "Full", 1000), cell("tsp", "FullSharded4Batched64", 1000))
-	cur := report(cell("tsp", "Full", 1300), cell("tsp", "FullSharded4Batched64", 990))
+	base := report(cell("tsp", "Full", 1000), cell("tsp", "FullBatched64", 1000))
+	cur := report(cell("tsp", "Full", 1300), cell("tsp", "FullBatched64", 990))
 	_, violations, _ := compare(base, cur, gateConfigs, 0.25)
 	if len(violations) != 1 {
 		t.Fatalf("violations = %v, want exactly one (tsp/Full)", violations)
@@ -53,8 +53,8 @@ func TestGateFailsOnRegression(t *testing.T) {
 }
 
 func TestGateFailsOnMissingGatedCell(t *testing.T) {
-	base := report(cell("sor", "Full", 1000), cell("sor", "FullSharded4Batched64", 1000))
-	cur := report(cell("sor", "Full", 1000)) // sharded cell absent
+	base := report(cell("sor", "Full", 1000), cell("sor", "FullBatched64", 1000))
+	cur := report(cell("sor", "Full", 1000)) // batched cell absent
 	_, violations, _ := compare(base, cur, gateConfigs, 0.25)
 	if len(violations) != 1 || !strings.Contains(violations[0], "missing") {
 		t.Fatalf("violations = %v, want one missing-cell violation", violations)
@@ -62,11 +62,11 @@ func TestGateFailsOnMissingGatedCell(t *testing.T) {
 }
 
 func TestGateWarnsOnExtraCurrentCells(t *testing.T) {
-	base := report(cell("hedc", "Full", 1000), cell("hedc", "FullSharded4Batched64", 1000))
+	base := report(cell("hedc", "Full", 1000), cell("hedc", "FullBatched64", 1000))
 	cur := report(
 		cell("hedc", "Full", 1000),
-		cell("hedc", "FullSharded4Batched64", 1000),
-		cell("hedc", "FullSharded8Batched64", 9999),
+		cell("hedc", "FullBatched64", 1000),
+		cell("hedc", "FullBatched128", 9999),
 	)
 	rows, violations, warnings := compare(base, cur, gateConfigs, 0.25)
 	if len(violations) != 0 {
@@ -75,7 +75,7 @@ func TestGateWarnsOnExtraCurrentCells(t *testing.T) {
 	if len(rows) != 2 {
 		t.Errorf("rows = %d, want 2 (current-only cells are not compared)", len(rows))
 	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "hedc/FullSharded8Batched64") {
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "hedc/FullBatched128") {
 		t.Errorf("warnings = %v, want one naming the current-only cell", warnings)
 	}
 }
@@ -86,11 +86,11 @@ func TestGateWarnsOnUnmeasuredBaselineCell(t *testing.T) {
 	// an infinite ratio or a panic.
 	base := report(
 		cell("moldyn", "Full", 0), // missing ns/op key in the JSON
-		cell("moldyn", "FullSharded4Batched64", 1000),
+		cell("moldyn", "FullBatched64", 1000),
 	)
 	cur := report(
 		cell("moldyn", "Full", 1200),
-		cell("moldyn", "FullSharded4Batched64", 1000),
+		cell("moldyn", "FullBatched64", 1000),
 	)
 	rows, violations, warnings := compare(base, cur, gateConfigs, 0.25)
 	if len(violations) != 0 {
@@ -112,8 +112,8 @@ func TestGateWarnsOnUnmeasuredBaselineCell(t *testing.T) {
 
 func TestGateWarnsOnUncoveredGatedConfig(t *testing.T) {
 	// The baseline has zero usable cells for a gated config (here the
-	// sharded one): the gate cannot protect it and must say so.
-	base := report(cell("crypt", "Full", 1000), cell("crypt", "FullSharded4Batched64", 0))
+	// batched one): the gate cannot protect it and must say so.
+	base := report(cell("crypt", "Full", 1000), cell("crypt", "FullBatched64", 0))
 	cur := report(cell("crypt", "Full", 1000))
 	_, violations, warnings := compare(base, cur, gateConfigs, 0.25)
 	if len(violations) != 0 {
@@ -121,7 +121,7 @@ func TestGateWarnsOnUncoveredGatedConfig(t *testing.T) {
 	}
 	found := false
 	for _, w := range warnings {
-		if strings.Contains(w, `"FullSharded4Batched64"`) && strings.Contains(w, "cannot protect") {
+		if strings.Contains(w, `"FullBatched64"`) && strings.Contains(w, "cannot protect") {
 			found = true
 		}
 	}

@@ -4,8 +4,7 @@
 // more than -threshold slower (ns/op) on any benchmark.
 //
 // Only the configurations named by -configs are gated — by default the
-// serial Full detector, the sharded+batched back end, the
-// StaticAnalysis pseudo-configuration (compile-phase ns/op, so the
+// Full detector, the StaticAnalysis pseudo-configuration (compile-phase ns/op, so the
 // interprocedural analyses cannot silently blow up compile time),
 // ReplayFull (trace-replay throughput, so the record-once/analyze-many
 // path cannot silently lose its speed advantage), and
@@ -36,7 +35,7 @@ func main() {
 		baseline  = flag.String("baseline", "BENCH_PR10.json", "checked-in racebench -json artifact to compare against")
 		current   = flag.String("current", "", "freshly measured racebench -json artifact (required)")
 		threshold = flag.Float64("threshold", 0.25, "maximum tolerated ns/op regression ratio of a gated configuration")
-		configs   = flag.String("configs", "Full,FullSharded4Batched64,StaticAnalysis,ReplayFull,FullSampledAdaptive,FullSampledPriors", "comma-separated configuration names that fail the gate on regression")
+		configs   = flag.String("configs", "Full,StaticAnalysis,ReplayFull,FullSampledAdaptive,FullSampledPriors", "comma-separated configuration names that fail the gate on regression")
 	)
 	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {

@@ -24,10 +24,7 @@ func TestBenchFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"shards zero", []string{"-shards", "0"}, "-shards must be >= 1"},
 		{"batch negative", []string{"-batch", "-64"}, "-batch must be >= 1"},
-		{"journal zero", []string{"-journal", "0"}, "-journal must be >= 1"},
-		{"retry budget negative", []string{"-retry-budget", "-2"}, "-retry-budget must be >= 0"},
 		{"runs zero", []string{"-runs", "0"}, "-runs must be >= 1"},
 		{"benchreps zero", []string{"-benchreps", "0"}, "-benchreps must be >= 1"},
 		{"unknown flag", []string{"-no-such-flag"}, "flag"},

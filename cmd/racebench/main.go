@@ -22,17 +22,14 @@ import (
 
 func main() {
 	var (
-		table       = flag.String("table", "all", "which table to regenerate: 1, 2, 3, or all")
-		runs        = flag.Int("runs", 5, "Table 2: runs per configuration (best is reported, as in the paper)")
-		compare     = flag.Bool("compare", false, "also print the detector comparison (§8.3/§9)")
-		jsonPath    = flag.String("json", "", "write machine-readable results (ns/op, allocs/op per benchmark and config) to this file and skip the tables")
-		shards      = flag.Int("shards", 4, "worker count of the sharded configurations in the -json matrix")
-		batchSize   = flag.Int("batch", 64, "access batch size of the batched configurations in the -json matrix")
-		journalCap  = flag.Int("journal", 4096, "per-shard journal capacity of the supervised -json configuration")
-		retryBudget = flag.Int("retry-budget", 3, "restart attempts per shard of the supervised -json configuration")
-		benchReps   = flag.Int("benchreps", 1, "measurement reps per -json cell, interleaved across configurations; the report carries median ns/op with min/max spread")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		table      = flag.String("table", "all", "which table to regenerate: 1, 2, 3, or all")
+		runs       = flag.Int("runs", 5, "Table 2: runs per configuration (best is reported, as in the paper)")
+		compare    = flag.Bool("compare", false, "also print the detector comparison (§8.3/§9)")
+		jsonPath   = flag.String("json", "", "write machine-readable results (ns/op, allocs/op per benchmark and config) to this file and skip the tables")
+		batchSize  = flag.Int("batch", 64, "access batch size of the batched configurations in the -json matrix")
+		benchReps  = flag.Int("benchreps", 1, "measurement reps per -json cell, interleaved across configurations; the report carries median ns/op with min/max spread")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	// A bad flag is a usage error (exit 3), consistent with racedet.
 	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
@@ -48,21 +45,9 @@ func main() {
 			return
 		}
 		switch f.Name {
-		case "shards":
-			if *shards <= 0 {
-				flagErr = fmt.Errorf("-shards must be >= 1 (got %d)", *shards)
-			}
 		case "batch":
 			if *batchSize <= 0 {
 				flagErr = fmt.Errorf("-batch must be >= 1 (got %d)", *batchSize)
-			}
-		case "journal":
-			if *journalCap <= 0 {
-				flagErr = fmt.Errorf("-journal must be >= 1 (got %d)", *journalCap)
-			}
-		case "retry-budget":
-			if *retryBudget < 0 {
-				flagErr = fmt.Errorf("-retry-budget must be >= 0 (got %d)", *retryBudget)
 			}
 		case "runs":
 			if *runs <= 0 {
@@ -97,13 +82,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		jopts := bench.JSONOptions{
-			Shards:      *shards,
-			BatchSize:   *batchSize,
-			JournalCap:  *journalCap,
-			RetryBudget: *retryBudget,
-			BenchReps:   *benchReps,
-		}
+		jopts := bench.JSONOptions{BatchSize: *batchSize, BenchReps: *benchReps}
 		if err := bench.WriteJSON(f, jopts); err != nil {
 			f.Close()
 			fail(err)

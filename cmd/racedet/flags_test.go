@@ -22,15 +22,10 @@ func TestCLIFlagValidation(t *testing.T) {
 		args []string
 		want string // substring required on stderr
 	}{
-		{"shards zero", []string{"-shards", "0", prog}, "-shards must be >= 1"},
-		{"shards negative", []string{"-shards", "-4", prog}, "-shards must be >= 1"},
 		{"batch zero", []string{"-batch", "0", prog}, "-batch must be >= 1"},
-		{"batch negative", []string{"-shards", "2", "-batch", "-8", prog}, "-batch must be >= 1"},
-		{"journal negative", []string{"-shards", "2", "-journal", "-1", prog}, "-journal must be >= 0"},
-		{"retry budget negative", []string{"-shards", "2", "-retry-budget", "-1", prog}, "-retry-budget must be >= 0"},
-		{"inject without shards", []string{"-inject", "panic:shard=0,event=1", prog}, "-inject targets the sharded back end"},
-		{"inject bad spec", []string{"-shards", "2", "-inject", "panic:shard=0", prog}, "fault"},
+		{"batch negative", []string{"-batch", "-8", prog}, "-batch must be >= 1"},
 		{"unknown flag", []string{"-no-such-flag", prog}, "flag"},
+		{"shards flag removed", []string{"-shards", "2", prog}, "flag provided but not defined"},
 		{"record and replay-trace", []string{"-record", "t.mjtrace", "-replay-trace", "t.mjtrace"}, "-record and -replay-trace are mutually exclusive"},
 		{"replay and replay-trace", []string{"-replay", "t.log", "-replay-trace", "t.mjtrace"}, "-replay and -replay-trace are mutually exclusive"},
 		{"fuzz and replay-trace", []string{"-fuzz", "4", "-replay-trace", "t.mjtrace"}, "-fuzz explores live schedules"},
@@ -73,8 +68,8 @@ func TestCLIFlagValidation(t *testing.T) {
 }
 
 // TestCLISamplingSmoke runs adaptive throttling end to end: the racy
-// program is still reported with sampling on (serial and sharded), and
-// -stats surfaces the sampling counters.
+// program is still reported with sampling on (unbatched and batched),
+// and -stats surfaces the sampling counters.
 func TestCLISamplingSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
@@ -85,7 +80,7 @@ func TestCLISamplingSmoke(t *testing.T) {
 	for _, args := range [][]string{
 		{"-q", "-stats", "-sample-k", "4", prog},
 		{"-q", "-stats", "-sample-budget", "0.25", prog},
-		{"-q", "-stats", "-sample-k", "4", "-shards", "2", prog},
+		{"-q", "-stats", "-sample-k", "4", "-batch", "64", prog},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitRaces {
@@ -98,40 +93,5 @@ func TestCLISamplingSmoke(t *testing.T) {
 		if !strings.Contains(text, "sampling: shipped=") {
 			t.Errorf("%v: -stats missing the sampling line:\n%s", args, text)
 		}
-	}
-}
-
-// TestCLIInjectSmoke runs the fault-injection path end to end: a
-// worker panic is injected mid-stream, the supervisor recovers, and
-// the race is still reported exactly as without the fault.
-func TestCLIInjectSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary")
-	}
-	bin := buildCLI(t)
-	prog := writeProg(t, racyProg)
-
-	// Recovered run: same verdict and report as an undisturbed one.
-	out, err := exec.Command(bin, "-q", "-stats", "-shards", "2",
-		"-inject", "panic:shard=*,event=1", prog).CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitRaces {
-		t.Fatalf("recovered run exit = %v, want %d\n%s", err, exitRaces, out)
-	}
-	text := string(out)
-	if !strings.Contains(text, "datarace on Data.f") {
-		t.Errorf("recovered run lost the race report:\n%s", text)
-	}
-	if !strings.Contains(text, "recovery:") || !strings.Contains(text, "restarts=1") {
-		t.Errorf("-stats missing the recovery line:\n%s", text)
-	}
-
-	// Budget-zero run: the shard degrades but the analysis completes.
-	out, err = exec.Command(bin, "-q", "-stats", "-shards", "2", "-retry-budget", "0",
-		"-inject", "panic:shard=*,event=1", prog).CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitRaces {
-		t.Fatalf("degraded run exit = %v, want %d (analysis must survive)\n%s", err, exitRaces, out)
-	}
-	if !strings.Contains(string(out), "degradedShards=1") {
-		t.Errorf("degraded run missing the degradation counter:\n%s", out)
 	}
 }

@@ -20,10 +20,10 @@
 // compact binary event trace (a .mjtrace extension selects the binary
 // format; any other extension keeps the text event log). The trace
 // replays offline into any detector configuration without re-executing
-// the program: -replay-trace run.mjtrace honors the usual ablation and
-// back-end flags (-nocache, -shards, -batch, ...), and -ablate
-// "Full,NoCache,Sharded4" sweeps several named configurations over one
-// trace in a single process. -replay-workers bounds the parallel
+// the program: -replay-trace run.mjtrace honors the usual ablation
+// flags (-nocache, -batch, ...), and -ablate "Full,NoCache,Eraser"
+// sweeps several named configurations over one trace in a single
+// process. -replay-workers bounds the parallel
 // segment decoders.
 //
 // Exit codes:
@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"racedet"
@@ -76,37 +75,33 @@ func main() {
 		recordPath      = flag.String("record", "", "write the event log to this file for post-mortem analysis (.mjtrace extension selects the compact binary trace)")
 		replayPath      = flag.String("replay", "", "post-mortem: replay a recorded event log instead of running a program")
 		replayTracePath = flag.String("replay-trace", "", "offline detection: replay a recorded binary trace (.mjtrace) through the configured detector instead of running a program")
-		ablateList      = flag.String("ablate", "", `with -replay-trace: comma-separated named configurations to sweep over the trace in one process, e.g. "Full,NoCache,Sharded4"`)
+		ablateList      = flag.String("ablate", "", `with -replay-trace: comma-separated named configurations to sweep over the trace in one process, e.g. "Full,NoCache,Eraser"`)
 		replayWorkers   = flag.Int("replay-workers", 0, "with -replay-trace: parallel trace-segment decoders (0 = one per CPU)")
 		fullRace        = flag.Bool("fullrace", false, "with -replay: reconstruct every racing access pair (O(N^2))")
 		deadlocks       = flag.Bool("deadlock", false, "also run the lock-order potential-deadlock analysis")
 		immut           = flag.Bool("immutability", false, "also classify shared fields as observed-immutable or mutable")
 
-		fuzzN       = flag.Int("fuzz", 0, "explore N scheduler seeds and classify races as stable or schedule-dependent")
-		workers     = flag.Int("workers", 0, "parallel workers for -fuzz (0 = one per CPU)")
-		timeout     = flag.Duration("timeout", 0, "per-run wall-clock watchdog (0 = none; -fuzz defaults to 30s)")
-		livelock    = flag.Int("livelock", 0, "terminate after N scheduler slices without progress (0 = off; -fuzz defaults to 100000)")
-		schedOut    = flag.String("schedule-out", "", "write the run's schedule trace to this file (mjsched text)")
-		schedIn     = flag.String("replay-schedule", "", "replay a recorded schedule trace (deterministic reproduction)")
-		traceDir    = flag.String("trace-dir", "", "with -fuzz: write each finding's witness schedule trace into this directory")
-		maxTrie     = flag.Int("max-trie-nodes", 0, "bound trie memory: collapse per-location history over this many nodes (0 = unbounded; may over-report)")
-		maxCacheT   = flag.Int("max-cache-threads", 0, "bound cache memory: keep at most N per-thread caches, evicting LRU (0 = unbounded)")
-		maxOwner    = flag.Int("max-owner-locations", 0, "bound ownership memory: locations past N are born shared (0 = unbounded; may over-report)")
-		shards      = flag.Int("shards", 0, "run detection on N location-sharded workers (0/1 = serial; reports are identical)")
-		batchSize   = flag.Int("batch", 0, "buffer up to N access events per thread before calling the detector (0 = unbatched)")
-		journalCap  = flag.Int("journal", 4096, "with -shards: per-shard event journal capacity for crash recovery (0 = no fault tolerance)")
-		retryBudget = flag.Int("retry-budget", 3, "with -shards and -journal: worker restart attempts before a shard degrades to the Eraser path")
-		inject      = flag.String("inject", "", `fault-injection spec for robustness testing, e.g. "panic:shard=1,event=100" (see docs/robustness.md)`)
-		sampleK     = flag.Int("sample-k", 0, "adaptive throttling: demote an access site after K consecutive clean observations (0 = off; see docs/performance.md)")
-		sampleBud   = flag.Float64("sample-budget", 0, "adaptive throttling: target shipped-events ratio in (0,1]; the throttle adapts K per window (implies -sample-k 16 when set alone)")
-		priorsMode  = flag.String("priors", "", `seed sampling with static lock-discipline priors: "on" pins unguarded/guarded-inconsistent sites armed and demotes guarded-consistent sites early, "invert" swaps the two (ablation), "off"/"" ignores the tiers; requires -sample-k/-sample-budget`)
-		factCache   = flag.String("factcache", "", "persist static-analysis results under this directory and reuse them for unchanged functions")
-		ptsWorkers  = flag.Int("pts-workers", 0, "parallel workers for the points-to solver (0 = serial; the result is identical)")
-		explain     = flag.Bool("explain-static", false, "print the per-access-site keep/kill report of the static phase and exit")
-		staticRep   = flag.Bool("static-report", false, "print the severity-ranked lock-discipline race report of the static phase and exit")
-		staticOnly  = flag.Bool("static-only", false, "static-only detection: print the lock-discipline report, exit 1 when statically unguarded pairs exist, 0 otherwise")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		fuzzN      = flag.Int("fuzz", 0, "explore N scheduler seeds and classify races as stable or schedule-dependent")
+		workers    = flag.Int("workers", 0, "parallel workers for -fuzz (0 = one per CPU)")
+		timeout    = flag.Duration("timeout", 0, "per-run wall-clock watchdog (0 = none; -fuzz defaults to 30s)")
+		livelock   = flag.Int("livelock", 0, "terminate after N scheduler slices without progress (0 = off; -fuzz defaults to 100000)")
+		schedOut   = flag.String("schedule-out", "", "write the run's schedule trace to this file (mjsched text)")
+		schedIn    = flag.String("replay-schedule", "", "replay a recorded schedule trace (deterministic reproduction)")
+		traceDir   = flag.String("trace-dir", "", "with -fuzz: write each finding's witness schedule trace into this directory")
+		maxTrie    = flag.Int("max-trie-nodes", 0, "bound trie memory: collapse per-location history over this many nodes (0 = unbounded; may over-report)")
+		maxCacheT  = flag.Int("max-cache-threads", 0, "bound cache memory: keep at most N per-thread caches, evicting LRU (0 = unbounded)")
+		maxOwner   = flag.Int("max-owner-locations", 0, "bound ownership memory: locations past N are born shared (0 = unbounded; may over-report)")
+		batchSize  = flag.Int("batch", 0, "buffer up to N access events per thread before calling the detector (0 = unbatched)")
+		sampleK    = flag.Int("sample-k", 0, "adaptive throttling: demote an access site after K consecutive clean observations (0 = off; see docs/performance.md)")
+		sampleBud  = flag.Float64("sample-budget", 0, "adaptive throttling: target shipped-events ratio in (0,1]; the throttle adapts K per window (implies -sample-k 16 when set alone)")
+		priorsMode = flag.String("priors", "", `seed sampling with static lock-discipline priors: "on" pins unguarded/guarded-inconsistent sites armed and demotes guarded-consistent sites early, "invert" swaps the two (ablation), "off"/"" ignores the tiers; requires -sample-k/-sample-budget`)
+		factCache  = flag.String("factcache", "", "persist static-analysis results under this directory and reuse them for unchanged functions")
+		ptsWorkers = flag.Int("pts-workers", 0, "parallel workers for the points-to solver (0 = serial; the result is identical)")
+		explain    = flag.Bool("explain-static", false, "print the per-access-site keep/kill report of the static phase and exit")
+		staticRep  = flag.Bool("static-report", false, "print the severity-ranked lock-discipline race report of the static phase and exit")
+		staticOnly = flag.Bool("static-only", false, "static-only detection: print the lock-discipline report, exit 1 when statically unguarded pairs exist, 0 otherwise")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
 	// A bad flag is a usage error (exit 3), not an execution failure
 	// (exit 2, the flag package's ExitOnError default).
@@ -119,28 +114,16 @@ func main() {
 	}
 	// Validate flag values that parse fine but make no sense. Only
 	// explicitly-passed flags are checked (flag.Visit), so the zero
-	// defaults — which mean "serial" / "unbatched" — stay legal.
+	// defaults — which mean "unbatched" / "off" — stay legal.
 	var flagErr error
 	flag.Visit(func(f *flag.Flag) {
 		if flagErr != nil {
 			return
 		}
 		switch f.Name {
-		case "shards":
-			if *shards <= 0 {
-				flagErr = fmt.Errorf("-shards must be >= 1 (got %d); omit the flag for the serial back end", *shards)
-			}
 		case "batch":
 			if *batchSize <= 0 {
 				flagErr = fmt.Errorf("-batch must be >= 1 (got %d); omit the flag for unbatched delivery", *batchSize)
-			}
-		case "journal":
-			if *journalCap < 0 {
-				flagErr = fmt.Errorf("-journal must be >= 0 (got %d); 0 disables fault tolerance", *journalCap)
-			}
-		case "retry-budget":
-			if *retryBudget < 0 {
-				flagErr = fmt.Errorf("-retry-budget must be >= 0 (got %d)", *retryBudget)
 			}
 		case "replay-workers":
 			if *replayWorkers <= 0 {
@@ -186,9 +169,6 @@ func main() {
 		case *fuzzN > 0:
 			flagErr = fmt.Errorf("-static-report/-static-only are purely static and cannot be combined with -fuzz")
 		}
-	}
-	if flagErr == nil && *inject != "" && *shards < 1 {
-		flagErr = fmt.Errorf("-inject targets the sharded back end; add -shards N")
 	}
 	if flagErr == nil && *replayTracePath != "" {
 		switch {
@@ -244,11 +224,7 @@ func main() {
 		MaxTrieNodes:           *maxTrie,
 		MaxCacheThreads:        *maxCacheT,
 		MaxOwnerLocations:      *maxOwner,
-		Shards:                 *shards,
 		BatchSize:              *batchSize,
-		JournalCap:             *journalCap,
-		RetryBudget:            *retryBudget,
-		FaultInjection:         *inject,
 		SampleK:                *sampleK,
 		SampleBudget:           *sampleBud,
 		Priors:                 *priorsMode,
@@ -422,11 +398,6 @@ func main() {
 					s.PriorHighSites, s.PriorLowSites, s.PriorFastDemotions)
 			}
 		}
-		if s.WorkerRestarts > 0 || s.DegradedShards > 0 || s.DroppedEvents > 0 {
-			fmt.Printf("recovery: restarts=%d replayed=%d checkpoints=%d degradedShards=%d degradedEvents=%d droppedEvents=%d queueHighWater=%d\n",
-				s.WorkerRestarts, s.EventsReplayed, s.Checkpoints, s.DegradedShards,
-				s.DegradedEvents, s.DroppedEvents, s.QueueHighWater)
-		}
 	}
 	n := res.RacyObjects
 	if runtimeErr != nil {
@@ -536,37 +507,31 @@ func traceName(field string) string {
 }
 
 // ablationOpts maps a named configuration onto base — the ablations of
-// the paper's Tables 2/3 plus the back-end variants. Base flags still
-// apply: -replay-trace -nocache -ablate Sharded4 replays NoCache on
-// four shards.
+// the paper's Tables 2/3 plus the baseline detectors. Base flags still
+// apply: -replay-trace -fieldsmerged -ablate NoCache replays NoCache at
+// object granularity.
 func ablationOpts(base racedet.Options, name string) (racedet.Options, error) {
 	o := base
-	switch {
-	case name == "Full":
-	case name == "NoCache":
+	switch name {
+	case "Full":
+	case "NoCache":
 		o.DisableCache = true
-	case name == "NoOwnership":
+	case "NoOwnership":
 		o.DisableOwnership = true
-	case name == "FieldsMerged":
+	case "FieldsMerged":
 		o.MergeFields = true
-	case name == "NoPseudoLocks":
+	case "NoPseudoLocks":
 		o.DisableJoinPseudoLocks = true
-	case name == "ReportAll":
+	case "ReportAll":
 		o.ReportAllAccesses = true
-	case name == "Eraser":
+	case "Eraser":
 		o.Detector = racedet.Eraser
-	case name == "ObjectRace":
+	case "ObjectRace":
 		o.Detector = racedet.ObjectRace
-	case name == "HappensBefore" || name == "HB":
+	case "HappensBefore", "HB":
 		o.Detector = racedet.HappensBefore
-	case strings.HasPrefix(name, "Sharded"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "Sharded"))
-		if err != nil || n < 1 {
-			return o, fmt.Errorf("bad shard count in ablation %q", name)
-		}
-		o.Shards = n
 	default:
-		return o, fmt.Errorf("unknown ablation %q (want Full, NoCache, NoOwnership, FieldsMerged, NoPseudoLocks, ReportAll, Eraser, ObjectRace, HappensBefore, or ShardedN)", name)
+		return o, fmt.Errorf("unknown ablation %q (want Full, NoCache, NoOwnership, FieldsMerged, NoPseudoLocks, ReportAll, Eraser, ObjectRace, or HappensBefore)", name)
 	}
 	return o, nil
 }

@@ -39,8 +39,8 @@ func stripStaticHints(s string) string {
 // TestCLITraceRoundTrip is the record-once/analyze-many contract at
 // the CLI level: -record prog.mjtrace captures the run, and
 // -replay-trace reproduces its race reports byte for byte (modulo
-// static hints) through the serial and the sharded back end, plus an
-// -ablate sweep, all without re-running the program.
+// static hints), with sequential and parallel decode, plus an -ablate
+// sweep, all without re-running the program.
 func TestCLITraceRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
@@ -60,8 +60,6 @@ func TestCLITraceRoundTrip(t *testing.T) {
 
 	for _, extra := range [][]string{
 		nil,
-		{"-shards", "4"},
-		{"-shards", "2", "-batch", "64"},
 		{"-replay-workers", "2"},
 	} {
 		args := append([]string{"-replay-trace", tracePath}, extra...)
@@ -75,11 +73,11 @@ func TestCLITraceRoundTrip(t *testing.T) {
 	}
 
 	// Ablation sweep: one process, several configurations.
-	got, code := run(t, bin, "-replay-trace", tracePath, "-ablate", "Full,NoCache,Sharded2")
+	got, code := run(t, bin, "-replay-trace", tracePath, "-ablate", "Full,NoCache,NoPseudoLocks")
 	if code != exitRaces {
 		t.Fatalf("-ablate exit = %d, want %d\n%s", code, exitRaces, got)
 	}
-	for _, marker := range []string{"== Full ==", "== NoCache ==", "== Sharded2 =="} {
+	for _, marker := range []string{"== Full ==", "== NoCache ==", "== NoPseudoLocks =="} {
 		if !strings.Contains(got, marker) {
 			t.Errorf("-ablate output missing %q:\n%s", marker, got)
 		}

@@ -35,6 +35,7 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
 		{"bad inject spec", []string{"-inject", "session-panic:job=banana"}, "-inject"},
 		{"unknown fault kind", []string{"-inject", "meteor-strike:shard=1"}, "-inject"},
+		{"detector worker fault", []string{"-inject", "panic:shard=1,event=5"}, "-inject"},
 		{"positional arg", []string{"prog.mj"}, "unexpected argument"},
 		{"bad listen address", []string{"-listen", "127.0.0.1:notaport"}, "listen"},
 		{"bad duration", []string{"-job-timeout", "fast"}, "invalid value"},

@@ -59,9 +59,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		factDir  = fs.String("factcache", "", "shared fact cache directory for warm compiles across sessions")
 		inject   = fs.String("inject", "", "deterministic fault plan (testing), e.g. 'session-panic:job=2,times=1'")
 		drainTO  = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on SIGTERM before counting them aborted")
-		shards   = fs.Int("shards", 0, "per-session detector shards (0 = default 2, negative = serial back end)")
 		batch    = fs.Int("batch", 0, "per-session event batch size (0 = default)")
-		journal  = fs.Int("journal", 0, "per-shard journal capacity for crash replay (0 = default, negative = off)")
 		maxTrace = fs.Int("max-trace-bytes", 0, "max uploaded trace size for replay jobs (0 = default 8MiB, negative = request-body limit only)")
 		sampleK  = fs.Int("sample-k", 0, "per-session adaptive throttling: demote an access site after K clean observations (0 = off; jobs may override)")
 		sampleB  = fs.Float64("sample-budget", 0, "per-session adaptive throttling: target shipped-events ratio in (0,1] (0 = off; jobs may override)")
@@ -117,19 +115,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		RetryBudget:    *retries,
 		RetryBackoff:   *backoff,
 		FactCacheDir:   *factDir,
-		Shards:         *shards,
 		BatchSize:      *batch,
-		JournalCap:     *journal,
 		MaxTraceBytes:  *maxTrace,
 		SampleK:        *sampleK,
 		SampleBudget:   *sampleB,
 		StateDir:       *stateDir,
 		WalSync:        *walSync,
-		// The shard-level half of the plan reaches each session's
-		// sharded back end by spec, re-parsed per run (fresh counters).
-		DetectorFaultSpec: *inject,
-		Faults:            plan,
-		Log:               logw,
+		Faults:         plan,
+		Log:            logw,
 	})
 
 	// Crash recovery runs to completion before the daemon accepts or

@@ -18,7 +18,6 @@ import (
 type JSONResult struct {
 	Benchmark string `json:"benchmark"`
 	Config    string `json:"config"`
-	Shards    int    `json:"shards,omitempty"`
 	BatchSize int    `json:"batch_size,omitempty"`
 	// NsPerOp is the median over Reps independent measurements (the
 	// reps are interleaved across configurations so load drift on the
@@ -50,17 +49,6 @@ type JSONResult struct {
 	TracesEliminated int   `json:"traces_eliminated,omitempty"`
 	TracesEmitted    int   `json:"traces_emitted,omitempty"`
 	ElimInterproc    int   `json:"elim_interproc,omitempty"`
-
-	// Fault-tolerance counters of the supervised sharded configuration
-	// (last run of the measurement; omitted when zero). Checkpoints and
-	// JournaledEvents are the insurance overhead; the rest should stay
-	// zero in an undisturbed benchmark run.
-	Checkpoints     uint64 `json:"checkpoints,omitempty"`
-	JournaledEvents uint64 `json:"journaled_events,omitempty"`
-	WorkerRestarts  uint64 `json:"worker_restarts,omitempty"`
-	DegradedShards  int    `json:"degraded_shards,omitempty"`
-	DroppedEvents   uint64 `json:"dropped_events,omitempty"`
-	QueueHighWater  int    `json:"queue_high_water,omitempty"`
 
 	// Adaptive-throttling axis (last run of the measurement). Every
 	// observed event lands in exactly one filter bucket, so
@@ -104,14 +92,10 @@ func ReadJSON(r io.Reader) (*JSONReport, error) {
 	return &rep, nil
 }
 
-// JSONOptions parameterizes the parallel variants of the measured
-// matrix. The zero value selects the defaults (4 shards, batch 64,
-// journal 4096, retry budget 3, one measurement rep).
+// JSONOptions parameterizes the measured matrix. The zero value
+// selects the defaults (batch 64, one measurement rep).
 type JSONOptions struct {
-	Shards      int
-	BatchSize   int
-	JournalCap  int
-	RetryBudget int
+	BatchSize int
 	// BenchReps is how many times each (benchmark, config) cell is
 	// measured. The reps are interleaved — every cell is measured once
 	// before any cell is measured twice — so slow phases of a noisy
@@ -121,17 +105,8 @@ type JSONOptions struct {
 }
 
 func (o JSONOptions) withDefaults() JSONOptions {
-	if o.Shards <= 0 {
-		o.Shards = 4
-	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 64
-	}
-	if o.JournalCap <= 0 {
-		o.JournalCap = 4096
-	}
-	if o.RetryBudget < 0 {
-		o.RetryBudget = 3
 	}
 	if o.BenchReps <= 0 {
 		o.BenchReps = 1
@@ -140,25 +115,15 @@ func (o JSONOptions) withDefaults() JSONOptions {
 }
 
 // jsonConfigs is the measured matrix: the paper's Table 2 ablations
-// plus the parallel back-end variants introduced with the sharded
-// detector and the supervised (fault-tolerant) configuration, which
-// quantifies the journaling/checkpointing insurance premium.
+// plus the batched front end and the sampling sweep.
 func jsonConfigs(o JSONOptions) []struct {
 	Name string
 	Cfg  core.Config
 } {
 	o = o.withDefaults()
 	configs := Table2Configs()
-	sharded := core.Full()
-	sharded.Shards = o.Shards
 	batched := core.Full()
 	batched.BatchSize = o.BatchSize
-	both := core.Full()
-	both.Shards = o.Shards
-	both.BatchSize = o.BatchSize
-	supervised := both
-	supervised.JournalCap = o.JournalCap
-	supervised.RetryBudget = o.RetryBudget
 	sampled := func(k int, budget float64) core.Config {
 		c := core.Full()
 		c.SampleK = k
@@ -180,13 +145,9 @@ func jsonConfigs(o JSONOptions) []struct {
 		}{name, cfg}
 	}
 	return append(configs,
-		add(fmt.Sprintf("FullSharded%d", o.Shards), sharded),
 		add(fmt.Sprintf("FullBatched%d", o.BatchSize), batched),
-		add(fmt.Sprintf("FullSharded%dBatched%d", o.Shards, o.BatchSize), both),
-		add("FullSupervised", supervised),
 		// The throttling sweep: fixed K at three demotion speeds plus
-		// the adaptive controller, all on the serial back end so the
-		// suppression effect is isolated from sharding.
+		// the adaptive controller.
 		add("FullSampled4", sampled(4, 0)),
 		add("FullSampled16", sampled(16, 0)),
 		add("FullSampled64", sampled(64, 0)),
@@ -280,7 +241,6 @@ type jsonCell struct {
 	ns, allocs, bytes []int64
 	racy              int
 	events            uint64
-	rec               detector.RecoveryStats
 	det               detector.Stats
 }
 
@@ -300,7 +260,6 @@ func (cl *jsonCell) measure() error {
 			}
 			cl.racy = len(rr.RacyObjects)
 			cl.events = rr.Interp.TraceEvents
-			cl.rec = rr.DetectorStats.Recovery
 			cl.det = rr.DetectorStats
 		}
 	})
@@ -330,7 +289,7 @@ func WriteJSON(w io.Writer, opts JSONOptions) error {
 			cells = append(cells, &jsonCell{bench: b.Name, cfgName: c.Name, cfg: c.Cfg, pipe: pipe})
 		}
 	}
-	rcells, err := replayCells(opts)
+	rcells, err := replayCells()
 	if err != nil {
 		return err
 	}
@@ -354,7 +313,6 @@ func WriteJSON(w io.Writer, opts JSONOptions) error {
 		r := JSONResult{
 			Benchmark:        cl.bench,
 			Config:           cl.cfgName,
-			Shards:           cl.cfg.Shards,
 			BatchSize:        cl.cfg.BatchSize,
 			NsPerOp:          median(cl.ns),
 			AllocsPerOp:      median(cl.allocs),
@@ -365,12 +323,6 @@ func WriteJSON(w io.Writer, opts JSONOptions) error {
 			TracesEliminated: cl.pipe.InstrStats.Eliminated,
 			TracesEmitted:    cl.pipe.InstrStats.Inserted - cl.pipe.InstrStats.Eliminated,
 			ElimInterproc:    cl.pipe.StaticStats.ElimInterproc,
-			Checkpoints:      cl.rec.Checkpoints,
-			JournaledEvents:  cl.rec.Journaled,
-			WorkerRestarts:   cl.rec.Restarts,
-			DegradedShards:   cl.rec.DegradedShards,
-			DroppedEvents:    cl.rec.DroppedEvents,
-			QueueHighWater:   cl.rec.QueueHighWater,
 			EventsPerSec:     eventsPerSec(cl.events, median(cl.ns)),
 			EventsObserved:   cl.det.Accesses,
 			EventsShipped:    cl.det.Shipped,
@@ -392,7 +344,6 @@ func WriteJSON(w io.Writer, opts JSONOptions) error {
 		r := JSONResult{
 			Benchmark:    cl.bench,
 			Config:       cl.cfgName,
-			Shards:       cl.cfg.Shards,
 			BatchSize:    cl.cfg.BatchSize,
 			NsPerOp:      median(cl.ns),
 			AllocsPerOp:  median(cl.allocs),

@@ -15,18 +15,13 @@ import (
 	"racedet/internal/rt/trace"
 )
 
-// replayConfigs is the replayed half of the matrix: the serial Full
-// detector with sequential segment decode, and the sharded+batched
-// back end with parallel decode.
-func replayConfigs(o JSONOptions) []struct {
+// replayConfigs is the replayed half of the matrix: the Full detector
+// with sequential and with parallel segment decode.
+func replayConfigs() []struct {
 	Name    string
 	Cfg     core.Config
 	Workers int
 } {
-	o = o.withDefaults()
-	sharded := core.Full()
-	sharded.Shards = o.Shards
-	sharded.BatchSize = o.BatchSize
 	add := func(name string, cfg core.Config, workers int) struct {
 		Name    string
 		Cfg     core.Config
@@ -44,7 +39,7 @@ func replayConfigs(o JSONOptions) []struct {
 		Workers int
 	}{
 		add("ReplayFull", core.Full(), 1),
-		add(fmt.Sprintf("ReplayFullSharded%dBatched%d", o.Shards, o.BatchSize), sharded, 0),
+		add("ReplayFullParallel", core.Full(), 0),
 	}
 }
 
@@ -93,7 +88,7 @@ func (cl *replayCell) measure() error {
 // replayCells records every benchmark once under the Full
 // configuration with the trace sink attached, then builds one cell per
 // replay configuration over the in-memory trace.
-func replayCells(o JSONOptions) ([]*replayCell, error) {
+func replayCells() ([]*replayCell, error) {
 	var out []*replayCell
 	for _, b := range All() {
 		var buf bytes.Buffer
@@ -110,7 +105,7 @@ func replayCells(o JSONOptions) ([]*replayCell, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench %s: reading recorded trace: %w", b.Name, err)
 		}
-		for _, c := range replayConfigs(o) {
+		for _, c := range replayConfigs() {
 			out = append(out, &replayCell{
 				bench:      b.Name,
 				cfgName:    c.Name,

@@ -15,7 +15,7 @@ func TestReplayCellsMatchLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every benchmark")
 	}
-	cells, err := replayCells(JSONOptions{})
+	cells, err := replayCells()
 	if err != nil {
 		t.Fatal(err)
 	}

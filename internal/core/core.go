@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"racedet/internal/escape"
-	"racedet/internal/faultinject"
 	"racedet/internal/icfg"
 	"racedet/internal/instrument"
 	"racedet/internal/interp"
@@ -174,40 +173,16 @@ type Config struct {
 	// (one trie per object instead of per location).
 	PackedTrie bool
 
-	// Shards, when >= 1, runs the trie detector with that many
-	// ring-fed worker goroutines (1 pins the ring machinery without
-	// parallelism; 0 keeps the single inline worker). Race reports are
-	// merged deterministically and are byte-identical to the serial run
-	// (for an unbounded trie; see detector.NewSharded). Only DetTrie
-	// honors it.
+	// Shards is ignored: detection always runs serially. The field
+	// remains so that existing callers keep compiling.
 	Shards int
 	// BatchSize, when > 0, batches access events per thread: the
 	// interpreter buffers up to this many accesses before calling into
 	// the sink chain. Event order — and therefore detection — is
 	// unchanged; see interp.Options.BatchSize.
 	BatchSize int
-
-	// JournalCap enables fault tolerance in the sharded back end: each
-	// shard journals routed messages and checkpoints its state, so a
-	// panicked worker restarts and replays instead of failing the run
-	// (0 = off). Meaningful only with Shards >= 1.
+	// JournalCap is ignored, like Shards.
 	JournalCap int
-	// RetryBudget is the number of per-shard restart attempts before a
-	// supervised shard degrades to the Eraser lockset path (0 degrades
-	// on the first panic).
-	RetryBudget int
-	// ShardQueueDepth bounds each router→worker queue in messages
-	// (0 = detector.DefaultQueueDepth).
-	ShardQueueDepth int
-	// DropOnBackpressure drops access batches with accounting instead
-	// of blocking when a shard queue is full (trades exactness for
-	// router latency; see detector.Options.DropOnBackpressure).
-	DropOnBackpressure bool
-	// Faults installs fault-injection hooks on the sharded back end
-	// (tests); FaultSpec is the textual alternative (CLI -inject),
-	// parsed by internal/faultinject. Faults wins when both are set.
-	Faults    detector.FaultInjector
-	FaultSpec string
 
 	// SampleK > 0 enables adaptive per-site throttling (-sample-k): a
 	// static access site demotes to a counting-only stub after K
@@ -800,10 +775,7 @@ func (p *Pipeline) RunConfig(cfg Config) (*RunResult, error) {
 		cfg.SitePriors = p.SitePriors()
 	}
 
-	ds, err := newDetectorSinks(cfg)
-	if err != nil {
-		return nil, err
-	}
+	ds := newDetectorSinks(cfg)
 	sink := ds.sink
 	det := ds.det
 
@@ -898,7 +870,7 @@ type detectorSinks struct {
 	imm  *immutable.Detector
 }
 
-func newDetectorSinks(cfg Config) (*detectorSinks, error) {
+func newDetectorSinks(cfg Config) *detectorSinks {
 	ds := &detectorSinks{}
 	switch cfg.Detector {
 	case DetTrie:
@@ -919,25 +891,7 @@ func newDetectorSinks(cfg Config) (*detectorSinks, error) {
 			dopts.Priors = cfg.SitePriors
 			dopts.InvertPriors = cfg.Priors == "invert"
 		}
-		if cfg.Shards >= 1 {
-			dopts.JournalCap = cfg.JournalCap
-			dopts.RetryBudget = cfg.RetryBudget
-			dopts.QueueDepth = cfg.ShardQueueDepth
-			dopts.DropOnBackpressure = cfg.DropOnBackpressure
-			dopts.Faults = cfg.Faults
-			if cfg.FaultSpec != "" && dopts.Faults == nil {
-				plan, err := faultinject.Parse(cfg.FaultSpec)
-				if err != nil {
-					return nil, fmt.Errorf("fault injection: %w", err)
-				}
-				if !plan.Empty() {
-					dopts.Faults = plan
-				}
-			}
-			ds.det = detector.NewSharded(dopts, cfg.Shards, cfg.BatchSize)
-		} else {
-			ds.det = detector.New(dopts)
-		}
+		ds.det = detector.New(dopts)
 		ds.sink = ds.det
 	case DetEraser:
 		ds.era = eraser.New()
@@ -959,12 +913,10 @@ func newDetectorSinks(cfg Config) (*detectorSinks, error) {
 		ds.imm = immutable.New()
 		ds.sink = event.MultiSink{ds.imm, ds.sink}
 	}
-	return ds, nil
+	return ds
 }
 
-// harvest collects the detector stack's verdicts into rr. For the trie
-// back end a backend error surfaces as rr.Err unless the run already
-// failed for another reason.
+// harvest collects the detector stack's verdicts into rr.
 func (ds *detectorSinks) harvest(rr *RunResult) {
 	if ds.dl != nil {
 		for _, r := range ds.dl.Reports() {
@@ -983,9 +935,6 @@ func (ds *detectorSinks) harvest(rr *RunResult) {
 		rr.DetectorStats = ds.det.Stats()
 		rr.TrieNodes = ds.det.TrieNodeCount()
 		rr.TrieLocations = ds.det.TrieLocationCount()
-		if berr := ds.det.Err(); berr != nil && rr.Err == nil {
-			rr.Err = berr
-		}
 	case ds.era != nil:
 		for _, r := range ds.era.Reports() {
 			rr.BaselineReports = append(rr.BaselineReports, r.String())
@@ -1005,31 +954,23 @@ func (ds *detectorSinks) harvest(rr *RunResult) {
 }
 
 // ReplayTrace streams a recorded binary trace (produced via
-// Config.TraceTo) into a fresh detector stack configured by cfg —
-// serial or sharded, any ablation — without compiling or interpreting
-// anything. parallel bounds the segment-decode workers (<= 0 selects
-// GOMAXPROCS); delivery is always in recorded order. The detectors
+// Config.TraceTo) into a fresh detector stack configured by cfg, in
+// any ablation, without compiling or interpreting anything. parallel
+// bounds the segment-decode workers (<= 0 selects GOMAXPROCS);
+// delivery is always in recorded order. The detectors
 // reconstruct locksets from the replayed monitor events exactly as
 // they do live, so at the recording configuration the verdicts are
 // byte-identical to the live run's. A corrupt or truncated trace
 // surfaces as a *trace.FormatError.
 func ReplayTrace(tr *trace.Reader, cfg Config, parallel int) (*RunResult, error) {
-	ds, err := newDetectorSinks(cfg)
-	if err != nil {
-		return nil, err
-	}
+	ds := newDetectorSinks(cfg)
 	if ds.det != nil {
 		ds.det.SetDescribeObj(tr.DescribeObj)
 	}
 	start := time.Now()
-	stats, rerr := tr.Replay(ds.sink, parallel)
-	if rerr != nil {
-		// Make sure a partially-fed sharded back end shuts down before
-		// the error propagates.
-		if ds.det != nil {
-			_ = ds.det.Err()
-		}
-		return nil, rerr
+	stats, err := tr.Replay(ds.sink, parallel)
+	if err != nil {
+		return nil, err
 	}
 	rr := &RunResult{
 		Config:   cfg,
@@ -1100,15 +1041,9 @@ func RunSource(file, src string, cfg Config) (*RunResult, error) {
 // stream as the on-the-fly run, so at the recording configuration the
 // verdicts and counters match (TestReplayLogMatchesLive).
 func ReplayLog(r io.Reader, cfg Config) (*RunResult, error) {
-	ds, err := newDetectorSinks(cfg)
-	if err != nil {
-		return nil, err
-	}
+	ds := newDetectorSinks(cfg)
 	start := time.Now()
 	if _, err := postmortem.Replay(r, ds.sink); err != nil {
-		if ds.det != nil {
-			_ = ds.det.Err() // shut down a partially-fed sharded detector
-		}
 		return nil, err
 	}
 	rr := &RunResult{

@@ -2,190 +2,133 @@ package corpus
 
 import (
 	"fmt"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
+	"racedet"
 	"racedet/internal/bench"
-	"racedet/internal/core"
 	"racedet/internal/faultinject"
+	"racedet/internal/service"
 )
 
-// faultedConfig is the supervised sharded configuration the recovery
-// differential tests run under: a small journal capacity forces
-// frequent checkpoints so replay exercises both the restore path and
-// the journal-suffix path, and batching keeps the router realistic.
-func faultedConfig(seed int64, faults *faultinject.Plan) core.Config {
-	cfg := core.Full().WithSeed(seed)
-	cfg.Shards = 4
-	cfg.BatchSize = 16
-	cfg.JournalCap = 64
-	cfg.RetryBudget = 3
-	cfg.Faults = faults
-	return cfg
-}
-
-// panicPlan builds a wildcard-shard panic at a seed-chosen event index
-// in [1, ceil(trieEvents/shards)]. Workers only ever see the accesses
-// that survive the router's cache and ownership filters — exactly the
-// serial trie's event stream — so the pigeonhole runs over serial
-// Trie.Events: with four shards splitting that many events, the
-// busiest shard processes at least the chosen index, and the panic is
-// guaranteed to fire on every seed while the seed sweep still covers
-// arbitrary points of the stream. expectFire is false only when the
-// serial run forwarded nothing to the trie (then no worker event can
-// ever fire and the callers skip the firing assertions).
-func panicPlan(t *testing.T, seed int64, trieEvents uint64) (plan *faultinject.Plan, expectFire bool) {
+// faultedSession runs one job through a fresh daemon whose fault plan
+// panics the job's first panics session attempts. budget is the
+// daemon's RetryBudget (negative means no retries).
+func faultedSession(t *testing.T, file, src string, seed int64, panics, budget int) (*service.JobResult, service.Snapshot) {
 	t.Helper()
-	limit := (trieEvents + 3) / 4
-	if limit < 1 {
-		limit = 1
-	}
-	ev := 1 + (uint64(seed)*7919)%limit
-	plan, err := faultinject.Parse(fmt.Sprintf("panic:shard=*,event=%d", ev))
+	plan, err := faultinject.Parse(fmt.Sprintf("session-panic:job=1,times=%d", panics))
 	if err != nil {
-		t.Fatalf("panic plan: %v", err)
+		t.Fatal(err)
 	}
-	return plan, trieEvents > 0
+	srv := service.New(service.Options{RetryBudget: budget, RetryBackoff: time.Millisecond, Faults: plan})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	res, err := (&service.Client{Base: ts.URL}).Analyze(service.JobRequest{File: file, Source: src, Seed: seed})
+	if err != nil {
+		t.Fatalf("seed %d: analyze: %v", seed, err)
+	}
+	if plan.Fired() != uint64(panics) {
+		t.Fatalf("seed %d: %d injected panics fired, want %d", seed, plan.Fired(), panics)
+	}
+	return res, srv.Metrics()
 }
 
-// TestCorpusFaultInjectedMatchesSerial is the recovery differential
-// test: on every corpus program, under ten seeds, a worker panic at a
-// seed-chosen event index must be invisible in the output — the
-// supervisor restarts the worker, replays the journal suffix, and the
-// merged report stays byte-identical to the serial back end's.
+// checkRecovered runs file under seed with a seed-chosen number of
+// session panics (1 to 3, within the retry budget of 3) and requires
+// the retried verdict and counters to equal a one-shot run's.
+func checkRecovered(t *testing.T, file, src string, seed int64) {
+	t.Helper()
+	want, err := racedet.Detect(file, src, racedet.Options{Seed: seed})
+	if err != nil {
+		t.Fatalf("seed %d one-shot: %v", seed, err)
+	}
+	panics := 1 + int(seed%3)
+	res, m := faultedSession(t, file, src, seed, panics, 3)
+	if res.Degraded || res.CompileError != "" || res.RuntimeError != "" {
+		t.Fatalf("seed %d: retried session did not complete cleanly: %+v", seed, res)
+	}
+	if !reflect.DeepEqual(res.Races, want.Races) || res.RacyObjects != want.RacyObjects || res.Output != want.Output {
+		t.Errorf("seed %d: retried session diverges from one-shot:\n--- one-shot ---\n%+v\n--- retried ---\n%+v",
+			seed, want.Races, res.Races)
+	}
+	if res.Stats != want.Stats {
+		t.Errorf("seed %d: retried counters diverge from one-shot:\n got %+v\nwant %+v", seed, res.Stats, want.Stats)
+	}
+	if res.Retries != panics || m.SessionPanics != uint64(panics) || m.JobsCompleted != 1 {
+		t.Errorf("seed %d: retries=%d session_panics=%d completed=%d, want %d/%d/1",
+			seed, res.Retries, m.SessionPanics, m.JobsCompleted, panics, panics)
+	}
+}
+
+// TestCorpusFaultInjectedMatchesSerial is the recovery differential:
+// on every corpus program, under ten seeds, a daemon session whose
+// first attempts are killed by injected panics is retried, and its
+// verdict and counters must equal an undisturbed one-shot run's.
 func TestCorpusFaultInjectedMatchesSerial(t *testing.T) {
 	for _, e := range loadCorpus(t) {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < 10; seed++ {
-				serial, err := core.RunSource(e.name+".mj", e.src, core.Full().WithSeed(seed))
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if serial.Err != nil {
-					t.Fatalf("seed %d: runtime: %v", seed, serial.Err)
-				}
-				want := renderReports(serial)
-
-				plan, expectFire := panicPlan(t, seed, serial.DetectorStats.Trie.Events)
-				res, err := core.RunSource(e.name+".mj", e.src, faultedConfig(seed, plan))
-				if err != nil {
-					t.Fatalf("seed %d faulted: %v", seed, err)
-				}
-				if res.Err != nil {
-					t.Fatalf("seed %d faulted: runtime: %v", seed, res.Err)
-				}
-				if got := renderReports(res); got != want {
-					t.Errorf("seed %d: faulted run diverges from serial:\n--- serial ---\n%s\n--- faulted ---\n%s",
-						seed, want, got)
-				}
-				if !expectFire {
-					continue
-				}
-				if plan.Fired() == 0 {
-					t.Fatalf("seed %d: injected panic never fired (event index past the busiest shard)", seed)
-				}
-				rec := res.DetectorStats.Recovery
-				if rec.Restarts == 0 {
-					t.Errorf("seed %d: panic fired but no worker restart recorded", seed)
-				}
-				if rec.Replayed == 0 {
-					t.Errorf("seed %d: worker restarted without replaying the journal", seed)
-				}
-				if rec.DegradedShards != 0 {
-					t.Errorf("seed %d: shard degraded with retry budget 3: %+v", seed, rec)
-				}
+				checkRecovered(t, e.name+".mj", e.src, seed)
 			}
 		})
 	}
 }
 
 // TestBenchmarksFaultInjectedMatchesSerial extends the recovery
-// differential check to the five paper benchmarks, whose much longer
-// event streams land panics deep into checkpointed history.
+// differential to the five paper benchmarks.
 func TestBenchmarksFaultInjectedMatchesSerial(t *testing.T) {
-	seeds := []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	seeds := int64(10)
 	if testing.Short() {
-		seeds = seeds[:2]
+		seeds = 2
 	}
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			src := b.Source()
-			for _, seed := range seeds {
-				serial, err := core.RunSource(b.Name+".mj", src, core.Full().WithSeed(seed))
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if serial.Err != nil {
-					t.Fatalf("seed %d: runtime: %v", seed, serial.Err)
-				}
-				want := renderReports(serial)
-
-				plan, expectFire := panicPlan(t, seed, serial.DetectorStats.Trie.Events)
-				res, err := core.RunSource(b.Name+".mj", src, faultedConfig(seed, plan))
-				if err != nil {
-					t.Fatalf("seed %d faulted: %v", seed, err)
-				}
-				if res.Err != nil {
-					t.Fatalf("seed %d faulted: runtime: %v", seed, res.Err)
-				}
-				if got := renderReports(res); got != want {
-					t.Errorf("seed %d: faulted run diverges from serial (%d vs %d reports)",
-						seed, len(res.Reports), len(serial.Reports))
-				}
-				if !expectFire {
-					continue
-				}
-				if plan.Fired() == 0 {
-					t.Fatalf("seed %d: injected panic never fired", seed)
-				}
-				if res.DetectorStats.Recovery.Restarts == 0 {
-					t.Errorf("seed %d: panic fired but no worker restart recorded", seed)
-				}
+			for seed := int64(0); seed < seeds; seed++ {
+				checkRecovered(t, b.Name+".mj", src, seed)
 			}
 		})
 	}
 }
 
 // TestCorpusDegradedCompletes pins the never-lose-the-analysis
-// guarantee: with a retry budget of zero every fired panic degrades
-// its shard to the Eraser lockset path, and the run still completes
-// with a report and an honest degradation counter — never an error,
-// never a silently missing shard.
+// guarantee: with a retry budget of zero the first panic degrades the
+// session to the Eraser lockset pass, and the job still completes with
+// that pass's verdict and an explicit degradation mark, never an error.
 func TestCorpusDegradedCompletes(t *testing.T) {
 	for _, e := range loadCorpus(t) {
 		e := e
 		t.Run(e.name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < 10; seed++ {
-				serial, err := core.RunSource(e.name+".mj", e.src, core.Full().WithSeed(seed))
+				want, err := racedet.Detect(e.name+".mj", e.src, racedet.Options{Seed: seed, Detector: racedet.Eraser})
 				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
+					t.Fatalf("seed %d one-shot Eraser: %v", seed, err)
 				}
-				plan, expectFire := panicPlan(t, seed, serial.DetectorStats.Trie.Events)
-				cfg := faultedConfig(seed, plan)
-				cfg.RetryBudget = 0
-				res, err := core.RunSource(e.name+".mj", e.src, cfg)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
+				res, m := faultedSession(t, e.name+".mj", e.src, seed, 1, -1)
+				if !res.Degraded || !strings.Contains(res.DegradedReason, "injected session panic") {
+					t.Fatalf("seed %d: budget 0 did not degrade: %+v", seed, res)
 				}
-				if res.Err != nil {
-					t.Fatalf("seed %d: degraded run must not fail the analysis: %v", seed, res.Err)
+				if res.CompileError != "" || res.RuntimeError != "" {
+					t.Fatalf("seed %d: degraded session must not fail the analysis: %+v", seed, res)
 				}
-				if !expectFire {
-					continue
+				if res.Retries != 0 {
+					t.Errorf("seed %d: budget 0 must not retry, got %d retries", seed, res.Retries)
 				}
-				if plan.Fired() == 0 {
-					t.Fatalf("seed %d: injected panic never fired", seed)
+				if !reflect.DeepEqual(res.BaselineReports, want.BaselineReports) || res.RacyObjects != want.RacyObjects {
+					t.Errorf("seed %d: degraded verdict is not the Eraser verdict:\n got %q\nwant %q",
+						seed, res.BaselineReports, want.BaselineReports)
 				}
-				rec := res.DetectorStats.Recovery
-				if rec.DegradedShards == 0 {
-					t.Errorf("seed %d: panic fired with budget 0 but no shard degraded: %+v", seed, rec)
-				}
-				if rec.Restarts != 0 {
-					t.Errorf("seed %d: budget 0 must not restart, got %d restarts", seed, rec.Restarts)
+				if m.JobsDegraded != 1 || m.Terminal() != m.JobsAdmitted {
+					t.Errorf("seed %d: degraded=%d terminal=%d admitted=%d",
+						seed, m.JobsDegraded, m.Terminal(), m.JobsAdmitted)
 				}
 			}
 		})

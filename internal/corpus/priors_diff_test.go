@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"racedet/internal/core"
@@ -10,10 +9,8 @@ import (
 )
 
 // priorsVariants is the matrix the prior-seeded coverage contract is
-// checked over: the adaptive controller with discipline priors on, on
-// the serial back end and at bracketing shard counts — all of which
-// must run the identical router-side sampling decision procedure —
-// plus the inverted-prior ablation, which deliberately points the
+// checked over: the adaptive controller with discipline priors on,
+// unbatched and batched, plus the inverted-prior ablation, which deliberately points the
 // budget at the wrong sites and must still keep stable races thanks to
 // the re-arm web.
 func priorsVariants(base core.Config) []struct {
@@ -35,11 +32,9 @@ func priorsVariants(base core.Config) []struct {
 	on.SampleBudget = 0.25
 	on.Priors = "on"
 	add("priors=on", on)
-	for _, shards := range []int{1, 2, 8} {
-		c := on
-		c.Shards = shards
-		add(fmt.Sprintf("priors=on,shards=%d", shards), c)
-	}
+	b := on
+	b.BatchSize = 16
+	add("priors=on,batch=16", b)
 	inv := on
 	inv.Priors = "invert"
 	add("priors=invert", inv)
@@ -50,8 +45,8 @@ func priorsVariants(base core.Config) []struct {
 // prior-seeded sampling: on every corpus program, under ten harness
 // seeds, every priors variant must report exactly the racy-field set
 // of the unsampled Full run — priors redirect the sampling budget,
-// they must never change the verdict. The sharded variants must
-// additionally match the serial priors run byte for byte.
+// they must never change the verdict. The batched variant must
+// additionally match the unbatched priors run byte for byte.
 func TestCorpusPriorsKeepCoverage(t *testing.T) {
 	seeds := int64(10)
 	if testing.Short() {
@@ -71,7 +66,7 @@ func TestCorpusPriorsKeepCoverage(t *testing.T) {
 				}
 				want := racyFields(base)
 
-				var serial string
+				var unbatched string
 				for _, v := range priorsVariants(core.Full().WithSeed(seed)) {
 					res, err := core.RunSource(e.name+".mj", e.src, v.cfg)
 					if err != nil {
@@ -99,11 +94,11 @@ func TestCorpusPriorsKeepCoverage(t *testing.T) {
 							seed, v.name, ds.Accesses, ds.Shipped, ds.CacheHits, ds.OwnerSkips, ds.Sample.Suppressed)
 					}
 					if v.name == "priors=on" {
-						serial = renderReports(res)
-					} else if v.cfg.Shards > 0 {
-						if g := renderReports(res); g != serial {
-							t.Errorf("seed %d %s diverges from serial priors run:\n--- serial ---\n%s\n--- %s ---\n%s",
-								seed, v.name, serial, v.name, g)
+						unbatched = renderReports(res)
+					} else if v.cfg.BatchSize > 0 {
+						if g := renderReports(res); g != unbatched {
+							t.Errorf("seed %d %s diverges from unbatched priors run:\n--- unbatched ---\n%s\n--- %s ---\n%s",
+								seed, v.name, unbatched, v.name, g)
 						}
 					}
 				}
@@ -115,7 +110,7 @@ func TestCorpusPriorsKeepCoverage(t *testing.T) {
 // TestCorpusPriorsReplayMatchesLive pins that priors live in the
 // detector's sampling filter, never the recorder: a trace recorded
 // with sampling off replayed with priors on reproduces a live
-// priors-on run byte for byte, serial and sharded. Replay has no
+// priors-on run byte for byte. Replay has no
 // compiled pipeline to derive priors from, so the test carries them
 // explicitly via Config.SitePriors — the same hand-off a daemon replay
 // job performs.
@@ -163,24 +158,18 @@ func TestCorpusPriorsReplayMatchesLive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: reading trace: %v", seed, err)
 				}
-				for _, v := range []struct {
-					name   string
-					shards int
-				}{{"serial", 0}, {"shards=2", 2}} {
-					cfg := sampled
-					cfg.Shards = v.shards
-					cfg.SitePriors = priors
-					res, err := core.ReplayTrace(rd, cfg, 1)
-					if err != nil {
-						t.Fatalf("seed %d replay %s: %v", seed, v.name, err)
-					}
-					if res.Err != nil {
-						t.Fatalf("seed %d replay %s: runtime: %v", seed, v.name, res.Err)
-					}
-					if got := renderReports(res); got != want {
-						t.Errorf("seed %d priors replay (%s) diverges from live:\n--- live ---\n%s\n--- replay ---\n%s",
-							seed, v.name, want, got)
-					}
+				cfg := sampled
+				cfg.SitePriors = priors
+				res, err := core.ReplayTrace(rd, cfg, 1)
+				if err != nil {
+					t.Fatalf("seed %d replay: %v", seed, err)
+				}
+				if res.Err != nil {
+					t.Fatalf("seed %d replay: runtime: %v", seed, res.Err)
+				}
+				if got := renderReports(res); got != want {
+					t.Errorf("seed %d priors replay diverges from live:\n--- live ---\n%s\n--- replay ---\n%s",
+						seed, want, got)
 				}
 			}
 		})

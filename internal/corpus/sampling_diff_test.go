@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"racedet/internal/core"
@@ -10,10 +9,9 @@ import (
 )
 
 // samplingVariants is the matrix the throttling coverage contract is
-// checked over: the serial back end at a small fixed K (fast
-// demotion, the aggressive end), the adaptive controller, and the
-// sharded back end at bracketing shard counts — all of which must run
-// the identical router-side sampling decision procedure.
+// checked over: a small fixed K (fast demotion, the aggressive end),
+// the adaptive controller, and the fixed K behind the batched front
+// end.
 func samplingVariants(base core.Config) []struct {
 	name string
 	cfg  core.Config
@@ -35,12 +33,9 @@ func samplingVariants(base core.Config) []struct {
 	ad.SampleK = 4
 	ad.SampleBudget = 0.25
 	add("sample-k=4,budget=0.25", ad)
-	for _, shards := range []int{1, 2, 8} {
-		c := base
-		c.SampleK = 4
-		c.Shards = shards
-		add(fmt.Sprintf("sample-k=4,shards=%d", shards), c)
-	}
+	b := k4
+	b.BatchSize = 16
+	add("sample-k=4,batch=16", b)
 	return out
 }
 
@@ -51,8 +46,8 @@ func samplingVariants(base core.Config) []struct {
 // must keep every field the unsampled run reported — the corpus races
 // are all stable (recurring) ones, exactly the class the re-arm web
 // guarantees to keep. Clean idioms staying clean falls out of the
-// subset direction. The sharded sampled variants must additionally
-// match the serial sampled run byte for byte.
+// subset direction. The batched sampled variant must additionally
+// match the unbatched sampled run byte for byte.
 func TestCorpusSamplingKeepsStableRaces(t *testing.T) {
 	seeds := int64(10)
 	if testing.Short() {
@@ -72,7 +67,7 @@ func TestCorpusSamplingKeepsStableRaces(t *testing.T) {
 				}
 				want := racyFields(base)
 
-				var serialSampled string
+				var unbatched string
 				for _, v := range samplingVariants(core.Full().WithSeed(seed)) {
 					res, err := core.RunSource(e.name+".mj", e.src, v.cfg)
 					if err != nil {
@@ -101,14 +96,14 @@ func TestCorpusSamplingKeepsStableRaces(t *testing.T) {
 						t.Errorf("seed %d %s: accounting broken: %d observed != %d shipped + %d cache + %d owner + %d suppressed",
 							seed, v.name, ds.Accesses, ds.Shipped, ds.CacheHits, ds.OwnerSkips, ds.Sample.Suppressed)
 					}
-					// The serial K=4 run is the reference the sharded
-					// sampled runs must reproduce byte for byte.
+					// The unbatched K=4 run is the reference the batched
+					// sampled run must reproduce byte for byte.
 					if v.name == "sample-k=4" {
-						serialSampled = renderReports(res)
-					} else if v.cfg.Shards > 0 && v.cfg.SampleBudget == 0 {
-						if g := renderReports(res); g != serialSampled {
-							t.Errorf("seed %d %s diverges from serial sampled:\n--- serial ---\n%s\n--- %s ---\n%s",
-								seed, v.name, serialSampled, v.name, g)
+						unbatched = renderReports(res)
+					} else if v.cfg.BatchSize > 0 {
+						if g := renderReports(res); g != unbatched {
+							t.Errorf("seed %d %s diverges from unbatched sampled:\n--- unbatched ---\n%s\n--- %s ---\n%s",
+								seed, v.name, unbatched, v.name, g)
 						}
 					}
 				}
@@ -120,8 +115,7 @@ func TestCorpusSamplingKeepsStableRaces(t *testing.T) {
 // TestCorpusSampledReplayMatchesLiveSampled pins that sampling lives
 // in the detector's filter, never the recorder: a trace recorded with
 // sampling OFF carries the full event stream, and replaying it with
-// sampling ON reproduces a live sampled run byte for byte — serial
-// and sharded. (Recording always captures the full stream because the
+// sampling ON reproduces a live sampled run byte for byte. (Recording always captures the full stream because the
 // tee sink disables the source-level fast path, exactly like sampling
 // itself does.)
 func TestCorpusSampledReplayMatchesLiveSampled(t *testing.T) {
@@ -159,24 +153,16 @@ func TestCorpusSampledReplayMatchesLiveSampled(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: reading trace: %v", seed, err)
 				}
-				for _, v := range []struct {
-					name   string
-					shards int
-				}{{"serial", 0}, {"shards=2", 2}} {
-					cfg := core.Full().WithSeed(seed)
-					cfg.SampleK = 4
-					cfg.Shards = v.shards
-					res, err := core.ReplayTrace(rd, cfg, 1)
-					if err != nil {
-						t.Fatalf("seed %d replay %s: %v", seed, v.name, err)
-					}
-					if res.Err != nil {
-						t.Fatalf("seed %d replay %s: runtime: %v", seed, v.name, res.Err)
-					}
-					if got := renderReports(res); got != want {
-						t.Errorf("seed %d sampled replay (%s) diverges from live sampled:\n--- live ---\n%s\n--- replay ---\n%s",
-							seed, v.name, want, got)
-					}
+				res, err := core.ReplayTrace(rd, sampled, 1)
+				if err != nil {
+					t.Fatalf("seed %d replay: %v", seed, err)
+				}
+				if res.Err != nil {
+					t.Fatalf("seed %d replay: runtime: %v", seed, res.Err)
+				}
+				if got := renderReports(res); got != want {
+					t.Errorf("seed %d sampled replay diverges from live sampled:\n--- live ---\n%s\n--- replay ---\n%s",
+						seed, want, got)
 				}
 			}
 		})

@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"racedet/internal/core"
@@ -10,9 +9,7 @@ import (
 )
 
 // replayVariants is the matrix the record/replay equivalence contract
-// is checked over: the serial back end, the sharded back end at the
-// same bracketing shard counts as the live differential test, and one
-// parallel-segment-decode replay.
+// is checked over: sequential and parallel segment decode.
 func replayVariants(base core.Config) []struct {
 	name    string
 	cfg     core.Config
@@ -30,26 +27,16 @@ func replayVariants(base core.Config) []struct {
 			workers int
 		}{name, cfg, workers})
 	}
-	add("serial", base, 1)
-	for _, shards := range []int{1, 2, 8} {
-		c := base
-		c.Shards = shards
-		add(fmt.Sprintf("shards=%d", shards), c, 1)
-	}
-	b := base
-	b.Shards = 4
-	b.BatchSize = 16
-	add("shards=4,batch=16", b, 1)
-	add("serial,workers=4", base, 4)
+	add("workers=1", base, 1)
+	add("workers=4", base, 4)
 	return out
 }
 
 // TestCorpusReplayMatchesLive is the record-once/analyze-many
 // differential test: on every corpus program, under ten harness seeds,
 // the run is recorded as a binary trace while the serial detector
-// analyzes it live, and then every replay variant — serial, sharded at
-// bracketing counts, batched, and parallel segment decode — must
-// reproduce the live run's ordered race reports and racy-object set
+// analyzes it live, and then every replay variant — sequential and
+// parallel segment decode — must reproduce the live run's ordered race reports and racy-object set
 // from the trace alone, byte for byte.
 func TestCorpusReplayMatchesLive(t *testing.T) {
 	seeds := int64(10)

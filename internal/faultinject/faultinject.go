@@ -1,27 +1,15 @@
 // Package faultinject provides deterministic, seedable fault injection
-// for the sharded detection back end's robustness tests and the CLI
-// -inject flag.
+// for the racedetd daemon's robustness tests and its -inject flag.
 //
 // A Plan is a set of faults that fire at exact points in a run —
-// "panic on shard 2's 157th access", "treat shard 0's queue as full
-// the first three times", "corrupt shard 1's next checkpoint" — so a
-// failing recovery scenario replays exactly. Plans implement the
-// detector.FaultInjector interface structurally (this package imports
-// no detector code); all trigger state is atomic because the hooks run
-// on the router and every worker goroutine concurrently.
+// "panic inside the first admitted job's session twice", "fail the
+// WAL's third write" — so a failing recovery scenario replays exactly.
+// All trigger state is atomic because the hooks run on every session
+// goroutine concurrently.
 //
-// The textual spec syntax (CLI -inject, semicolon-separated):
-//
-//	panic:shard=S,event=N        one-shot panic on shard S's N-th access
-//	slow:shard=S,every=K,delay=D sleep D on every K-th access of shard S
-//	queuefull:shard=S,times=T    report shard S's queue full T times
-//	corrupt-checkpoint:shard=S   mark shard S's next checkpoint corrupt
-//
-// shard=* (or shard=any) matches every shard.
-//
-// Session-level faults target the racedetd daemon (internal/service)
-// instead of the sharded back end; job indices count admitted jobs
-// from 1 and job=* matches every job:
+// The textual spec syntax (-inject, semicolon-separated). Session-level
+// faults target the daemon (internal/service); job indices count
+// admitted jobs from 1 and job=* matches every job:
 //
 //	session-panic:job=J[,times=T]  panic inside job J's session runner
 //	                               (T firings, default 1; the service
@@ -49,7 +37,6 @@ package faultinject
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
@@ -59,34 +46,8 @@ import (
 	"time"
 )
 
-// anyShard is the wildcard shard selector; anyJob likewise for the
-// session-level faults.
-const (
-	anyShard = -1
-	anyJob   = 0
-)
-
-type panicFault struct {
-	shard int
-	event uint64
-	done  atomic.Bool
-}
-
-type slowFault struct {
-	shard int
-	every uint64
-	delay time.Duration
-}
-
-type queueFault struct {
-	shard int
-	left  atomic.Int64
-}
-
-type corruptFault struct {
-	shard int
-	done  atomic.Bool
-}
+// anyJob is the wildcard job selector of the session-level faults.
+const anyJob = 0
 
 // Session-level fault types (racedetd daemon; see internal/service).
 
@@ -135,11 +96,6 @@ type crashFault struct {
 
 // Plan is a deterministic set of faults; safe for concurrent use.
 type Plan struct {
-	panics   []*panicFault
-	slows    []*slowFault
-	qfulls   []*queueFault
-	corrupts []*corruptFault
-
 	sessPanics  []*sessionPanicFault
 	disconnects []*disconnectFault
 	slowClients []*slowClientFault
@@ -158,8 +114,6 @@ type Plan struct {
 	fired atomic.Uint64
 }
 
-func match(sel, shard int) bool { return sel == anyShard || sel == shard }
-
 func matchJob(sel, job uint64) bool { return sel == anyJob || sel == job }
 
 func matchDisk(sel, disk string) bool { return sel == "*" || sel == disk }
@@ -167,48 +121,6 @@ func matchDisk(sel, disk string) bool { return sel == "*" || sel == disk }
 func diskOp(m *sync.Map, tag string) uint64 {
 	v, _ := m.LoadOrStore(tag, new(atomic.Uint64))
 	return v.(*atomic.Uint64).Add(1)
-}
-
-// WorkerEvent implements the worker-side hook: it panics when a panic
-// fault matches (one-shot, so a journaled replay of the same event
-// does not re-fire) and sleeps when a slow fault matches.
-func (p *Plan) WorkerEvent(shard int, n uint64) {
-	for _, f := range p.slows {
-		if match(f.shard, shard) && f.every > 0 && n%f.every == 0 {
-			p.fired.Add(1)
-			time.Sleep(f.delay)
-		}
-	}
-	for _, f := range p.panics {
-		if match(f.shard, shard) && n == f.event && f.done.CompareAndSwap(false, true) {
-			p.fired.Add(1)
-			panic(fmt.Sprintf("faultinject: injected panic on shard %d event %d", shard, n))
-		}
-	}
-}
-
-// QueueFull implements the router-side hook: true while a matching
-// queuefull fault has firings left.
-func (p *Plan) QueueFull(shard int) bool {
-	for _, f := range p.qfulls {
-		if match(f.shard, shard) && f.left.Add(-1) >= 0 {
-			p.fired.Add(1)
-			return true
-		}
-	}
-	return false
-}
-
-// CorruptCheckpoint implements the checkpoint hook: true once per
-// matching corrupt-checkpoint fault.
-func (p *Plan) CorruptCheckpoint(shard int) bool {
-	for _, f := range p.corrupts {
-		if match(f.shard, shard) && f.done.CompareAndSwap(false, true) {
-			p.fired.Add(1)
-			return true
-		}
-	}
-	return false
 }
 
 // SessionEvent implements the daemon's session hook: it panics while a
@@ -313,42 +225,21 @@ func (p *Plan) Fired() uint64 { return p.fired.Load() }
 
 // Empty reports whether the plan contains no faults at all.
 func (p *Plan) Empty() bool {
-	return len(p.panics) == 0 && len(p.slows) == 0 &&
-		len(p.qfulls) == 0 && len(p.corrupts) == 0 &&
-		!p.HasSessionFaults() && !p.HasDiskFaults()
+	return !p.HasSessionFaults() && !p.HasDiskFaults()
 }
 
 // HasDiskFaults reports whether the plan contains durable-write faults
-// (which neither the sharded back end nor the session hooks consult).
+// (which the session hooks never consult).
 func (p *Plan) HasDiskFaults() bool {
 	return len(p.enospcs) > 0 || len(p.shortWrites) > 0 ||
 		len(p.fsyncFails) > 0 || len(p.crashes) > 0
 }
 
 // HasSessionFaults reports whether the plan contains daemon-level
-// faults (which the sharded back end's hooks never consult).
+// faults.
 func (p *Plan) HasSessionFaults() bool {
 	return len(p.sessPanics) > 0 || len(p.disconnects) > 0 ||
 		len(p.slowClients) > 0 || len(p.admissions) > 0
-}
-
-// PanicPlan returns a plan with a single worker panic at a seed-chosen
-// shard and event index in [1, maxEvent]. The corpus differential
-// tests sweep seeds to cover panics at arbitrary points of the stream.
-func PanicPlan(seed int64, shards int, maxEvent uint64) *Plan {
-	r := rand.New(rand.NewSource(seed))
-	if shards < 1 {
-		shards = 1
-	}
-	if maxEvent < 1 {
-		maxEvent = 1
-	}
-	p := &Plan{}
-	p.panics = append(p.panics, &panicFault{
-		shard: r.Intn(shards),
-		event: 1 + uint64(r.Int63n(int64(maxEvent))),
-	})
-	return p
 }
 
 // Parse builds a Plan from the textual spec syntax documented at the
@@ -365,7 +256,6 @@ func Parse(spec string) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fault %q: %w", part, err)
 		}
-		// Session-level kinds take job=, not shard=.
 		switch kind {
 		case "session-panic":
 			job, err := args.job()
@@ -381,14 +271,12 @@ func Parse(spec string) (*Plan, error) {
 			f := &sessionPanicFault{job: job}
 			f.left.Store(int64(times))
 			p.sessPanics = append(p.sessPanics, f)
-			continue
 		case "client-disconnect":
 			job, err := args.job()
 			if err != nil {
 				return nil, fmt.Errorf("fault %q: %w", part, err)
 			}
 			p.disconnects = append(p.disconnects, &disconnectFault{job: job})
-			continue
 		case "slow-client":
 			job, err := args.job()
 			if err != nil {
@@ -399,7 +287,6 @@ func Parse(spec string) (*Plan, error) {
 				return nil, fmt.Errorf("fault %q: bad delay: %w", part, err)
 			}
 			p.slowClients = append(p.slowClients, &slowClientFault{job: job, delay: d})
-			continue
 		case "admission-full":
 			times, err := args.uintArg("times")
 			if err != nil {
@@ -408,8 +295,6 @@ func Parse(spec string) (*Plan, error) {
 			f := &admissionFault{}
 			f.left.Store(int64(times))
 			p.admissions = append(p.admissions, f)
-			continue
-		// Disk-level kinds take disk=, not shard=.
 		case "enospc":
 			times, err := args.uintArg("times")
 			if err != nil {
@@ -418,14 +303,12 @@ func Parse(spec string) (*Plan, error) {
 			f := &enospcFault{disk: args.disk()}
 			f.left.Store(int64(times))
 			p.enospcs = append(p.enospcs, f)
-			continue
 		case "shortwrite":
 			at, err := args.uintArg("at")
 			if err != nil {
 				return nil, fmt.Errorf("fault %q: %w", part, err)
 			}
 			p.shortWrites = append(p.shortWrites, &shortWriteFault{disk: args.disk(), at: at})
-			continue
 		case "fsyncfail":
 			times, err := args.uintArg("times")
 			if err != nil {
@@ -434,46 +317,12 @@ func Parse(spec string) (*Plan, error) {
 			f := &fsyncFault{disk: args.disk()}
 			f.left.Store(int64(times))
 			p.fsyncFails = append(p.fsyncFails, f)
-			continue
 		case "crash":
 			at, err := args.uintArg("at")
 			if err != nil {
 				return nil, fmt.Errorf("fault %q: %w", part, err)
 			}
 			p.crashes = append(p.crashes, &crashFault{disk: args.disk(), at: at})
-			continue
-		}
-		shard, err := args.shard()
-		if err != nil {
-			return nil, fmt.Errorf("fault %q: %w", part, err)
-		}
-		switch kind {
-		case "panic":
-			n, err := args.uintArg("event")
-			if err != nil {
-				return nil, fmt.Errorf("fault %q: %w", part, err)
-			}
-			p.panics = append(p.panics, &panicFault{shard: shard, event: n})
-		case "slow":
-			every, err := args.uintArg("every")
-			if err != nil {
-				return nil, fmt.Errorf("fault %q: %w", part, err)
-			}
-			d, err := time.ParseDuration(args["delay"])
-			if err != nil {
-				return nil, fmt.Errorf("fault %q: bad delay: %w", part, err)
-			}
-			p.slows = append(p.slows, &slowFault{shard: shard, every: every, delay: d})
-		case "queuefull":
-			times, err := args.uintArg("times")
-			if err != nil {
-				return nil, fmt.Errorf("fault %q: %w", part, err)
-			}
-			f := &queueFault{shard: shard}
-			f.left.Store(int64(times))
-			p.qfulls = append(p.qfulls, f)
-		case "corrupt-checkpoint":
-			p.corrupts = append(p.corrupts, &corruptFault{shard: shard})
 		default:
 			return nil, fmt.Errorf("fault %q: unknown kind %q", part, kind)
 		}
@@ -520,18 +369,6 @@ func (a faultArgs) disk() string {
 		return "*"
 	}
 	return v
-}
-
-func (a faultArgs) shard() (int, error) {
-	v, ok := a["shard"]
-	if !ok || v == "*" || v == "any" {
-		return anyShard, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad shard %q", v)
-	}
-	return n, nil
 }
 
 func (a faultArgs) uintArg(key string) (uint64, error) {

@@ -2,28 +2,30 @@ package faultinject
 
 import (
 	"errors"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
 )
 
 func TestParseSpec(t *testing.T) {
-	p, err := Parse("panic:shard=1,event=100; slow:shard=*,every=64,delay=1ms; queuefull:shard=2,times=3; corrupt-checkpoint:shard=0")
+	p, err := Parse("session-panic:job=1,times=2; slow-client:job=*,delay=1ms; admission-full:times=3; enospc:disk=wal,times=1; crash:at=4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.panics) != 1 || p.panics[0].shard != 1 || p.panics[0].event != 100 {
-		t.Errorf("panic fault = %+v", p.panics)
+	if len(p.sessPanics) != 1 || p.sessPanics[0].job != 1 || p.sessPanics[0].left.Load() != 2 {
+		t.Errorf("session-panic fault = %+v", p.sessPanics)
 	}
-	if len(p.slows) != 1 || p.slows[0].shard != anyShard || p.slows[0].every != 64 || p.slows[0].delay != time.Millisecond {
-		t.Errorf("slow fault = %+v", p.slows)
+	if len(p.slowClients) != 1 || p.slowClients[0].job != anyJob || p.slowClients[0].delay != time.Millisecond {
+		t.Errorf("slow-client fault = %+v", p.slowClients)
 	}
-	if len(p.qfulls) != 1 || p.qfulls[0].shard != 2 || p.qfulls[0].left.Load() != 3 {
-		t.Errorf("queuefull fault = %+v", p.qfulls)
+	if len(p.admissions) != 1 || p.admissions[0].left.Load() != 3 {
+		t.Errorf("admission-full fault = %+v", p.admissions)
 	}
-	if len(p.corrupts) != 1 || p.corrupts[0].shard != 0 {
-		t.Errorf("corrupt fault = %+v", p.corrupts)
+	if len(p.enospcs) != 1 || p.enospcs[0].disk != "wal" || p.enospcs[0].left.Load() != 1 {
+		t.Errorf("enospc fault = %+v", p.enospcs)
+	}
+	if len(p.crashes) != 1 || p.crashes[0].disk != "*" || p.crashes[0].at != 4 {
+		t.Errorf("crash fault = %+v", p.crashes)
 	}
 	if p.Empty() {
 		t.Error("plan should not be empty")
@@ -36,103 +38,17 @@ func TestParseEmptyAndErrors(t *testing.T) {
 		t.Fatalf("empty spec: plan=%+v err=%v", p, err)
 	}
 	for _, bad := range []string{
-		"explode:shard=0",
-		"panic:shard=0",          // missing event
-		"panic:shard=0,event=0",  // zero event
-		"panic:shard=-2,event=1", // negative shard
-		"slow:shard=0,every=8",   // missing delay
-		"queuefull:shard=0",      // missing times
-		"panic:shard=0 event=1",  // malformed args
+		"explode:job=1",
+		"session-panic:job=1 times=2", // malformed args
+		"session-panic:job",           // malformed args
+		"panic:shard=0,event=1",
+		"slow:shard=0,every=8,delay=1ms",
+		"queuefull:shard=0,times=1",
+		"corrupt-checkpoint:shard=0",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
-	}
-}
-
-func TestPanicFiresOnceAtExactEvent(t *testing.T) {
-	p, err := Parse("panic:shard=1,event=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fire := func(shard int, n uint64) (panicked bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				panicked = true
-				if !strings.Contains(r.(string), "injected panic") {
-					t.Errorf("unexpected panic value %v", r)
-				}
-			}
-		}()
-		p.WorkerEvent(shard, n)
-		return false
-	}
-	if fire(1, 2) || fire(0, 3) {
-		t.Fatal("fired on wrong shard/event")
-	}
-	if !fire(1, 3) {
-		t.Fatal("did not fire at shard=1 event=3")
-	}
-	if fire(1, 3) {
-		t.Fatal("one-shot fault fired twice (replay would never converge)")
-	}
-	if p.Fired() != 1 {
-		t.Errorf("Fired() = %d, want 1", p.Fired())
-	}
-}
-
-func TestQueueFullBudget(t *testing.T) {
-	p, err := Parse("queuefull:shard=0,times=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.QueueFull(1) {
-		t.Error("wrong shard reported full")
-	}
-	if !p.QueueFull(0) || !p.QueueFull(0) {
-		t.Error("expected two firings")
-	}
-	if p.QueueFull(0) {
-		t.Error("budget exhausted but still firing")
-	}
-	if p.Fired() != 2 {
-		t.Errorf("Fired() = %d, want 2", p.Fired())
-	}
-}
-
-func TestCorruptCheckpointOneShot(t *testing.T) {
-	p, err := Parse("corrupt-checkpoint:shard=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.CorruptCheckpoint(0) {
-		t.Error("wrong shard corrupted")
-	}
-	if !p.CorruptCheckpoint(2) {
-		t.Error("expected corruption")
-	}
-	if p.CorruptCheckpoint(2) {
-		t.Error("one-shot corruption fired twice")
-	}
-}
-
-func TestPanicPlanDeterministic(t *testing.T) {
-	a, b := PanicPlan(42, 4, 1000), PanicPlan(42, 4, 1000)
-	if a.panics[0].shard != b.panics[0].shard || a.panics[0].event != b.panics[0].event {
-		t.Errorf("same seed diverged: %+v vs %+v", a.panics[0], b.panics[0])
-	}
-	if a.panics[0].shard < 0 || a.panics[0].shard >= 4 {
-		t.Errorf("shard %d out of range", a.panics[0].shard)
-	}
-	if a.panics[0].event < 1 || a.panics[0].event > 1000 {
-		t.Errorf("event %d out of range", a.panics[0].event)
-	}
-	seen := map[int]bool{}
-	for seed := int64(0); seed < 20; seed++ {
-		seen[PanicPlan(seed, 4, 1000).panics[0].shard] = true
-	}
-	if len(seen) < 2 {
-		t.Error("20 seeds all chose the same shard; plan is not spreading")
 	}
 }
 

@@ -119,39 +119,6 @@ func NewBounded(maxThreads int) *Cache {
 // Stats returns a copy of the work counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Clone returns a deep copy of the cache layer for checkpointing.
-// Eviction-list links are slot indices local to each thread cache, so
-// the per-thread copies are plain struct copies plus a map copy.
-func (c *Cache) Clone() *Cache {
-	nc := &Cache{
-		threads:    make([]*threadCache, len(c.threads)),
-		stats:      c.stats,
-		maxThreads: c.maxThreads,
-		tick:       c.tick,
-		live:       c.live,
-	}
-	for i, tc := range c.threads {
-		if tc != nil {
-			nc.threads[i] = tc.clone()
-		}
-	}
-	return nc
-}
-
-func (tc *threadCache) clone() *threadCache {
-	// Links are slot indices, not pointers, so a struct copy of the
-	// arrays is already a correct deep copy; only the map needs work.
-	nt := &threadCache{
-		slots:   tc.slots,
-		lastUse: tc.lastUse,
-		lists:   make(map[event.ObjID]int32, len(tc.lists)),
-	}
-	for lock, head := range tc.lists {
-		nt.lists[lock] = head
-	}
-	return nt
-}
-
 // index is the direct-mapped hash: multiply by a odd constant and take
 // the upper bits (the paper multiplies the 32-bit address by a
 // constant and keeps the upper 16 bits; we fold object ID and slot).

@@ -3,24 +3,16 @@
 // caches (§4), and the trie-based weaker-than detector (§3) — behind
 // the event.Sink interface the interpreter feeds.
 //
-// There is one per-access pipeline. A Detector is a router — the
-// front half, run synchronously on the producer's goroutine in event
-// order — feeding workers, the back half that owns the trie:
+// There is one per-access pipeline, run synchronously on the
+// producer's goroutine in event order:
 //
 //	cache lookup → [hit: done]
 //	ownership filter → [owned: cache insert, done; owned→shared:
 //	                    evict location from all caches]
 //	(sampling only: per-site throttle, see sampling.go)
-//	ship: materialize the lockset, stamp the detection order
-//	    → worker trie: weakness check → race check → update
+//	ship: materialize the lockset
+//	    → trie: weakness check → race check → update
 //	cache insert
-//
-// New attaches one inline worker that ship calls directly, with no
-// ring, goroutine or batch buffer. NewSharded (sharded.go) attaches N
-// ring-fed worker goroutines, each owning the trie slice for its share
-// of the location space. The cache, ownership, sitestate and lock
-// tracking code exists once, on the router, so both constructors see
-// the same filter state and counters by construction.
 //
 // Reporting follows Definition 1: the detector reports at least one
 // racing access for every memory location involved in a datarace
@@ -28,16 +20,13 @@
 package detector
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"racedet/internal/rt/cache"
 	"racedet/internal/rt/event"
-	"racedet/internal/rt/journal"
 	"racedet/internal/rt/ownership"
 	"racedet/internal/rt/sitestate"
-	"racedet/internal/rt/spsc"
 	"racedet/internal/rt/trie"
 )
 
@@ -108,35 +97,6 @@ type Options struct {
 	// sampling is enabled.
 	Priors       map[sitestate.Key]sitestate.Prior
 	InvertPriors bool
-
-	// JournalCap enables fault tolerance in the sharded back end: each
-	// shard keeps a bounded write-ahead journal of up to this many
-	// routed messages and checkpoints its state when the journal fills,
-	// so a panicked worker can be restarted from the checkpoint and
-	// replayed (see supervise.go). 0 disables journaling — a worker
-	// panic then surfaces through Err, the pre-supervision behavior.
-	// The serial detector ignores it.
-	JournalCap int
-	// RetryBudget is the number of restart attempts per shard before
-	// the shard degrades to the Eraser lockset path instead of failing
-	// the run (meaningful only with JournalCap > 0). 0 degrades on the
-	// first panic; the degradation is counted in Stats.Recovery.
-	RetryBudget int
-	// QueueDepth bounds each shard's router→worker queue in messages
-	// (0 = DefaultQueueDepth). A full queue blocks the router unless
-	// DropOnBackpressure is set, so a slow or restarting worker can
-	// never grow router memory without bound.
-	QueueDepth int
-	// DropOnBackpressure drops access batches — with accounting in
-	// Stats.Recovery — instead of blocking when a shard queue is full.
-	// Dropped batches are pure detection loss (the run may then under-
-	// report); control messages are never dropped, so the cache layers
-	// stay sound. Off by default: blocking preserves byte-equivalence.
-	DropOnBackpressure bool
-	// Faults installs deterministic fault-injection hooks on the
-	// sharded back end's hot paths (see internal/faultinject); nil in
-	// production.
-	Faults FaultInjector
 }
 
 // Report describes one reported datarace: the access that triggered
@@ -182,42 +142,6 @@ type Stats struct {
 	OwnerOverflows uint64
 	Trie           trie.Stats
 	Cache          cache.Stats
-	// Recovery quantifies the sharded back end's fault-tolerance work
-	// (all zero for the serial detector and for undisturbed runs).
-	Recovery RecoveryStats
-}
-
-// RecoveryStats accounts the fault-tolerant sharded back end's
-// journal, checkpoint, restart, degradation, and backpressure
-// activity. Non-zero DegradedShards or DroppedEvents mean the run's
-// reports are best-effort for the affected shards; everything else is
-// bookkeeping for runs that recovered exactly.
-type RecoveryStats struct {
-	// Journaled counts messages written to shard journals; Checkpoints
-	// counts state snapshots taken; Replayed counts messages re-
-	// delivered from journals during recovery.
-	Journaled   uint64
-	Checkpoints uint64
-	Replayed    uint64
-	// Restarts counts worker restart attempts after panics.
-	Restarts uint64
-	// CheckpointCorruptions counts restore attempts abandoned because
-	// the checkpoint failed validation (each degrades the shard).
-	CheckpointCorruptions uint64
-	// DegradedShards counts shards that exhausted their retry budget
-	// and fell back to the Eraser lockset path; DegradedEvents counts
-	// the accesses that path handled.
-	DegradedShards int
-	DegradedEvents uint64
-	// DroppedBatches/DroppedEvents count access batches discarded under
-	// the drop backpressure policy; BackpressureStalls counts blocking
-	// sends that found the queue full (including injected fullness).
-	DroppedBatches     uint64
-	DroppedEvents      uint64
-	BackpressureStalls uint64
-	// QueueHighWater is the maximum router-queue depth observed across
-	// shards (in messages).
-	QueueHighWater int
 }
 
 // history is the per-location access store: the per-location trie,
@@ -227,10 +151,10 @@ type history interface {
 	Stats() trie.Stats
 	NodeCount() int
 	LocationCount() int
+	SetInterner(*event.Interner)
 }
 
-// Detector is the composed runtime detector: the router front half
-// plus its workers.
+// Detector is the composed runtime detector.
 type Detector struct {
 	opts Options
 
@@ -238,37 +162,26 @@ type Detector struct {
 	cache *cache.Cache
 	owner *ownership.Table
 	sites *sitestate.Table // non-nil iff per-site throttling is on
-	stats Stats            // router-side counters; worker counters join at read time
-	seq   uint64           // detection-order stamp of the last shipped access
+	stats Stats            // filter counters; trie counters join at read time
+	trie  history
 
-	// inline is New's worker, called synchronously by ship; nil when the
-	// workers are ring-fed. workers lists every worker either way.
-	inline  *worker
-	workers []*worker
-	fan     *fanout // ring-fed plumbing (sharded.go); nil when inline
+	reports     []Report // ObjDesc is rendered at read time
+	reportedLoc map[event.Loc]struct{}
+	reportedObj map[event.ObjID]struct{}
 }
 
 var _ event.BatchSink = (*Detector)(nil)
 
-// New builds a detector whose router drives a single inline worker.
-// The fault-tolerance options (JournalCap, RetryBudget, QueueDepth,
-// DropOnBackpressure, Faults) concern the ring-fed workers and are
-// ignored here.
+// New builds a detector configured by opts.
 func New(opts Options) *Detector {
 	it := event.NewInterner()
-	d := newRouter(opts, it)
-	d.inline = newWorker(0, 1, opts, it)
-	d.workers = []*worker{d.inline}
-	return d
-}
-
-// newRouter builds the front half shared by New and NewSharded.
-func newRouter(opts Options, it *event.Interner) *Detector {
 	d := &Detector{
-		opts:  opts,
-		locks: event.NewLockTrackerInterned(it),
-		cache: cache.New(),
-		owner: ownership.New(),
+		opts:        opts,
+		locks:       event.NewLockTrackerInterned(it),
+		cache:       cache.New(),
+		owner:       ownership.New(),
+		reportedLoc: make(map[event.Loc]struct{}),
+		reportedObj: make(map[event.ObjID]struct{}),
 	}
 	if opts.MaxCacheThreads > 0 {
 		d.cache = cache.NewBounded(opts.MaxCacheThreads)
@@ -280,6 +193,17 @@ func newRouter(opts Options, it *event.Interner) *Detector {
 		d.sites = sitestate.New(sc)
 		d.owner.SetOnContact(d.sites.Contact)
 	}
+	switch {
+	case opts.PackedTrie:
+		d.trie = trie.NewPacked()
+	case opts.NoTBot:
+		d.trie = trie.NewNoTBot()
+	case opts.MaxTrieNodes > 0:
+		d.trie = trie.NewBounded(opts.MaxTrieNodes)
+	default:
+		d.trie = trie.New()
+	}
+	d.trie.SetInterner(it)
 	return d
 }
 
@@ -301,34 +225,16 @@ func samplingConfig(opts Options) (sitestate.Config, bool) {
 // ---------------------------------------------------------------------------
 // results
 //
-// Every accessor first settles the run, then reads the workers. An
-// inline detector never latches: its worker is current after every
-// call, so results may be read partway through the stream and feeding
-// may continue afterwards. A ring-fed detector's first accessor ends
-// its event stream (see finalize); from then on the worker state is
-// frozen and the accessors are safe for concurrent use.
-
-func (d *Detector) settle() {
-	if d.fan != nil {
-		d.fan.fin.Do(d.finalize)
-	}
-}
+// The accessors read live state and end nothing: results may be read
+// partway through the stream, and feeding may continue afterwards.
 
 // Reports returns the datarace reports in detection order. Object
 // descriptions are rendered here, at read time.
 func (d *Detector) Reports() []Report {
-	d.settle()
-	var all []shardReport
-	for _, w := range d.workers {
-		all = append(all, w.reports...)
-	}
-	// Sequence order is the detection order of a single inline worker.
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	reports := make([]Report, len(all))
-	for i, sr := range all {
-		reports[i] = sr.rep
-		if d.opts.DescribeObj != nil {
-			reports[i].ObjDesc = d.opts.DescribeObj(sr.rep.Access.Loc.Obj)
+	reports := append([]Report(nil), d.reports...)
+	if d.opts.DescribeObj != nil {
+		for i := range reports {
+			reports[i].ObjDesc = d.opts.DescribeObj(reports[i].Access.Loc.Obj)
 		}
 	}
 	return reports
@@ -337,25 +243,16 @@ func (d *Detector) Reports() []Report {
 // RacyObjects returns the distinct objects named in reports, sorted —
 // the quantity Table 3 counts.
 func (d *Detector) RacyObjects() []event.ObjID {
-	d.settle()
-	set := make(map[event.ObjID]struct{})
-	for _, w := range d.workers {
-		for o := range w.reportedObj {
-			set[o] = struct{}{}
-		}
-	}
-	objs := make([]event.ObjID, 0, len(set))
-	for o := range set {
+	objs := make([]event.ObjID, 0, len(d.reportedObj))
+	for o := range d.reportedObj {
 		objs = append(objs, o)
 	}
 	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
 	return objs
 }
 
-// Stats returns the router's filter counters plus the trie and
-// recovery counters summed across workers.
+// Stats returns the filter counters plus the trie's.
 func (d *Detector) Stats() Stats {
-	d.settle()
 	s := d.stats
 	s.OwnerLocations = d.owner.Locations()
 	s.OwnerOverflows = d.owner.Overflows()
@@ -363,65 +260,15 @@ func (d *Detector) Stats() Stats {
 	if d.sites != nil {
 		s.Sample = d.sites.Stats()
 	}
-	if d.fan != nil {
-		d.fan.addRecovery(&s.Recovery)
-	}
-	for _, w := range d.workers {
-		addTrieStats(&s.Trie, w.trie.Stats())
-		w.addRecovery(&s.Recovery)
-	}
+	s.Trie = d.trie.Stats()
 	return s
 }
 
-func addTrieStats(dst *trie.Stats, src trie.Stats) {
-	dst.Events += src.Events
-	dst.WeaknessHits += src.WeaknessHits
-	dst.RaceChecks += src.RaceChecks
-	dst.NodesVisited += src.NodesVisited
-	dst.Races += src.Races
-	dst.NodesAllocated += src.NodesAllocated
-	dst.NodesPruned += src.NodesPruned
-	dst.LocationsStored += src.LocationsStored
-	dst.Collapses += src.Collapses
-	dst.NodesCollapsed += src.NodesCollapsed
-	dst.CollapseHits += src.CollapseHits
-}
-
 // TrieNodeCount exposes the history size (space metric).
-func (d *Detector) TrieNodeCount() int {
-	d.settle()
-	n := 0
-	for _, w := range d.workers {
-		n += w.trie.NodeCount()
-	}
-	return n
-}
+func (d *Detector) TrieNodeCount() int { return d.trie.NodeCount() }
 
 // TrieLocationCount exposes the number of locations with history.
-func (d *Detector) TrieLocationCount() int {
-	d.settle()
-	n := 0
-	for _, w := range d.workers {
-		n += w.trie.LocationCount()
-	}
-	return n
-}
-
-// Err reports every unrecovered worker failure, joined. Only ring-fed
-// workers recover panics; an inline worker's panic propagates to the
-// producer like any other sink's. Supervised shards that recovered, or
-// degraded to the Eraser path, contribute nothing here: the run
-// completed and Stats().Recovery tells the story.
-func (d *Detector) Err() error {
-	d.settle()
-	var errs []error
-	for _, w := range d.workers {
-		if w.err != nil {
-			errs = append(errs, w.err)
-		}
-	}
-	return errors.Join(errs...)
-}
+func (d *Detector) TrieLocationCount() int { return d.trie.LocationCount() }
 
 // SetDescribeObj installs the object renderer used in reports. The
 // runner sets it after the interpreter (which owns the heap) exists;
@@ -429,7 +276,7 @@ func (d *Detector) Err() error {
 func (d *Detector) SetDescribeObj(fn func(event.ObjID) string) { d.opts.DescribeObj = fn }
 
 // ---------------------------------------------------------------------------
-// event.Sink implementation (the router)
+// event.Sink implementation
 
 // ThreadStarted implements event.Sink.
 func (d *Detector) ThreadStarted(child, parent event.ThreadID) {
@@ -438,9 +285,7 @@ func (d *Detector) ThreadStarted(child, parent event.ThreadID) {
 	}
 }
 
-// ThreadFinished implements event.Sink. Thread lifecycle never reaches
-// a worker: its only consumers, the lock tracker and the access cache,
-// live on the router.
+// ThreadFinished implements event.Sink.
 func (d *Detector) ThreadFinished(t event.ThreadID) {
 	if !d.opts.NoPseudoLocks {
 		d.locks.ThreadFinished(t)
@@ -455,8 +300,8 @@ func (d *Detector) Joined(joiner, joinee event.ThreadID) {
 	}
 }
 
-// MonitorEnter implements event.Sink. Workers see the lock environment
-// only through the locksets ship attaches to later accesses.
+// MonitorEnter implements event.Sink. The trie sees the lock
+// environment only through the locksets ship attaches to accesses.
 func (d *Detector) MonitorEnter(t event.ThreadID, lock event.ObjID, depth int) {
 	d.locks.MonitorEnter(t, lock, depth)
 }
@@ -534,27 +379,39 @@ func (d *Detector) filter(t event.ThreadID, loc event.Loc, kind event.Kind) (eve
 	return loc, true
 }
 
-// ship hands a filter survivor to its worker: materialize the
-// (interned) lockset, stamp the detection order, run the inline
-// worker's trie stage right here or route to a ring-fed worker, and
-// insert into the cache so equal-or-stronger accesses short-circuit.
+// ship runs a filter survivor through the trie stage: materialize the
+// (interned) lockset, check and update the history, and insert into
+// the cache so equal-or-stronger accesses short-circuit.
 func (d *Detector) ship(a event.Access, loc event.Loc) {
 	d.stats.Shipped++
 	a.Loc = loc
 	a.Locks = d.locks.Held(a.Thread) // immutable canonical slice
 	a.LockID = d.locks.HeldID(a.Thread)
-	d.seq++
-	if w := d.inline; w != nil {
-		if race, info := w.trie.Process(a); race {
-			w.report(&a, d.seq, info)
-		}
-	} else {
-		d.route(a)
+	if race, info := d.trie.Process(a); race {
+		d.report(&a, info)
 	}
 	if !d.opts.NoCache {
 		top, ok := d.locks.Top(a.Thread)
 		d.cache.Insert(a.Thread, loc, a.Kind, top, ok)
 	}
+}
+
+// report records a race the trie found on shipped access a, once per
+// location unless ReportAll.
+func (d *Detector) report(a *event.Access, info trie.RaceInfo) {
+	if !d.opts.ReportAll {
+		if _, dup := d.reportedLoc[a.Loc]; dup {
+			return
+		}
+	}
+	d.reportedLoc[a.Loc] = struct{}{}
+	d.reportedObj[a.Loc.Obj] = struct{}{}
+	d.reports = append(d.reports, Report{
+		Access:      *a,
+		PriorThread: info.PriorThread,
+		PriorLocks:  info.PriorLocks,
+		PriorKind:   info.PriorKind,
+	})
 }
 
 // Access implements event.Sink: the full per-access pipeline. The
@@ -593,123 +450,5 @@ func (d *Detector) AccessBatch(batch []event.Access) {
 		if forward {
 			d.ship(*a, loc)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// the worker: the trie stage
-
-// shardReport is a worker-side report stamped with the triggering
-// access's sequence number for the deterministic merge. ObjDesc stays
-// empty: DescribeObj reads the interpreter's heap, which a ring-fed
-// worker must not touch while the run is live.
-type shardReport struct {
-	rep Report
-	seq uint64
-}
-
-// worker owns one trie slice: the whole location space when inline,
-// one shard's share when ring-fed. A ring-fed worker's fields are
-// goroutine-local; the router talks to it only through the two rings.
-type worker struct {
-	idx     int
-	nshards int
-	opts    Options
-	intern  *event.Interner // renders reported PriorLocks
-	trie    history
-
-	reports     []shardReport
-	reportedLoc map[event.Loc]struct{}
-	reportedObj map[event.ObjID]struct{}
-
-	// Ring-fed only (sharded.go, supervise.go). journal is nil when
-	// Options.JournalCap == 0 and the worker runs unsupervised.
-	ring     *spsc.Ring[shardBatch] // router → worker: routed batches
-	free     *spsc.Ring[shardBatch] // worker → router: recycled buffers
-	events   uint64                 // accesses processed, the fault-hook index
-	err      error
-	journal  *journal.Log[shardBatch]
-	ckpt     journal.Checkpoint[workerSnapshot]
-	rec      RecoveryStats
-	degraded *degradedShard // non-nil once the shard fell back to Eraser
-}
-
-// newWorker builds worker idx of n with an empty trie slice. The
-// inline worker shares the router's interner (same goroutine); a
-// ring-fed worker must get its own, since the producer keeps mutating
-// the router's.
-func newWorker(idx, n int, opts Options, it *event.Interner) *worker {
-	w := &worker{idx: idx, nshards: n, opts: opts, intern: it}
-	w.freshState()
-	return w
-}
-
-// freshState (re)builds the worker's empty trie slice; used at
-// construction and when a restart finds no checkpoint to restore.
-func (w *worker) freshState() {
-	w.reportedLoc = make(map[event.Loc]struct{})
-	w.reportedObj = make(map[event.ObjID]struct{})
-	w.reports = nil
-	w.events = 0
-	switch {
-	case w.opts.PackedTrie:
-		w.trie = trie.NewPacked()
-	case w.opts.NoTBot:
-		w.trie = trie.NewNoTBot()
-	case w.opts.MaxTrieNodes > 0:
-		w.trie = trie.NewBounded(splitBudget(w.opts.MaxTrieNodes, w.nshards))
-	default:
-		w.trie = trie.New()
-	}
-	if st, ok := w.trie.(interface {
-		SetInterner(*event.Interner)
-	}); ok {
-		st.SetInterner(w.intern)
-	}
-}
-
-// splitBudget divides a global memory bound across n shards, never
-// below 1 per shard.
-func splitBudget(total, n int) int {
-	b := total / n
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-// report records a race the worker's trie found on shipped access a.
-func (w *worker) report(a *event.Access, seq uint64, info trie.RaceInfo) {
-	if !w.opts.ReportAll {
-		if _, dup := w.reportedLoc[a.Loc]; dup {
-			return
-		}
-	}
-	w.reportedLoc[a.Loc] = struct{}{}
-	w.reportedObj[a.Loc.Obj] = struct{}{}
-	w.reports = append(w.reports, shardReport{
-		rep: Report{
-			Access:      *a,
-			PriorThread: info.PriorThread,
-			PriorLocks:  info.PriorLocks,
-			PriorKind:   info.PriorKind,
-		},
-		seq: seq,
-	})
-}
-
-// addRecovery adds the worker's supervision counters to rec.
-func (w *worker) addRecovery(rec *RecoveryStats) {
-	rec.Restarts += w.rec.Restarts
-	rec.Checkpoints += w.rec.Checkpoints
-	rec.CheckpointCorruptions += w.rec.CheckpointCorruptions
-	if w.degraded != nil {
-		rec.DegradedShards++
-	}
-	rec.DegradedEvents += w.rec.DegradedEvents
-	if w.journal != nil {
-		js := w.journal.Stats()
-		rec.Journaled += js.Appended
-		rec.Replayed += js.Replayed
 	}
 }

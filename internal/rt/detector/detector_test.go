@@ -1,6 +1,9 @@
 package detector
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"racedet/internal/rt/event"
@@ -253,5 +256,164 @@ func TestStatsPlumbing(t *testing.T) {
 	}
 	if st.CacheHits != 1 {
 		t.Errorf("cache hits = %d (second identical access should hit)", st.CacheHits)
+	}
+}
+
+// feedRandom drives a sink through a pseudo-random but deterministic
+// event stream with threads, locks, shared objects, and join edges —
+// dense enough to exercise caches, ownership transitions, and the trie.
+func feedRandom(s event.Sink, seed int64, events int) {
+	rng := rand.New(rand.NewSource(seed))
+	const nThreads = 4
+	const nObjs = 12
+	const nLocks = 3
+	s.ThreadStarted(0, event.NoThread)
+	for t := event.ThreadID(1); t < nThreads; t++ {
+		s.ThreadStarted(t, 0)
+	}
+	held := make([][]event.ObjID, nThreads) // lock stacks per thread
+	for i := 0; i < events; i++ {
+		t := event.ThreadID(rng.Intn(nThreads))
+		switch op := rng.Intn(10); {
+		case op < 6: // access
+			obj := event.ObjID(100 + rng.Intn(nObjs))
+			slot := int32(rng.Intn(3))
+			kind := event.Read
+			if rng.Intn(2) == 0 {
+				kind = event.Write
+			}
+			s.Access(event.Access{
+				Loc:       event.Loc{Obj: obj, Slot: slot},
+				Thread:    t,
+				Kind:      kind,
+				FieldName: "F.f",
+			})
+		case op < 8: // lock
+			if len(held[t]) < 2 {
+				l := event.ObjID(500 + rng.Intn(nLocks))
+				dup := false
+				for _, h := range held[t] {
+					if h == l {
+						dup = true
+					}
+				}
+				if !dup {
+					held[t] = append(held[t], l)
+					s.MonitorEnter(t, l, 1)
+				}
+			}
+		default: // unlock (LIFO)
+			if n := len(held[t]); n > 0 {
+				l := held[t][n-1]
+				held[t] = held[t][:n-1]
+				s.MonitorExit(t, l, 0)
+			}
+		}
+	}
+	for t := event.ThreadID(0); t < nThreads; t++ {
+		for n := len(held[t]); n > 0; n-- {
+			s.MonitorExit(t, held[t][n-1], 0)
+		}
+	}
+	for t := event.ThreadID(1); t < nThreads; t++ {
+		s.ThreadFinished(t)
+		s.Joined(0, t)
+	}
+	s.ThreadFinished(0)
+}
+
+func reportStrings(b *Detector) []string {
+	var out []string
+	for _, r := range b.Reports() {
+		out = append(out, r.String())
+	}
+	return out
+}
+
+func compareReports(t *testing.T, label string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d reports, want %d\ngot:  %v\nwant: %v", label, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: report %d differs\ngot:  %s\nwant: %s", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestBatchedProducerMatchesUnbatched checks the batched producer
+// path: a Batcher in front of the detector (the interpreter's
+// BatchSize wiring, which delivers through AccessBatch) must give the
+// same reports and counters as per-access delivery.
+func TestBatchedProducerMatchesUnbatched(t *testing.T) {
+	for seed := int64(0); seed < 3; seed++ {
+		plain := New(Options{})
+		feedRandom(plain, seed, 3000)
+
+		batched := New(Options{})
+		b := event.NewBatcher(batched, 8)
+		feedRandom(b, seed, 3000)
+		b.Flush()
+
+		label := fmt.Sprintf("seed%d", seed)
+		compareReports(t, label, reportStrings(batched), reportStrings(plain))
+		if got, want := batched.Stats(), plain.Stats(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: stats diverge\nbatched: %+v\nplain:   %+v", label, got, want)
+		}
+	}
+}
+
+// readingSink feeds its Detector and reads every result after each
+// 97th access.
+type readingSink struct {
+	*Detector
+	t      *testing.T
+	n      int
+	fewest int // reports at the first read
+}
+
+func (r *readingSink) Access(a event.Access) {
+	r.Detector.Access(a)
+	if r.n++; r.n%97 != 0 {
+		return
+	}
+	reports := len(r.Reports())
+	if r.fewest < 0 {
+		r.fewest = reports
+	}
+	_ = r.RacyObjects()
+	_ = r.Stats()
+	_ = r.TrieNodeCount()
+	_ = r.TrieLocationCount()
+}
+
+// TestInlineAccessorsDoNotLatch: the result accessors read live state
+// and end nothing, so reading every result
+// repeatedly partway through the stream and feeding on must give the
+// same final results as one uninterrupted run.
+func TestInlineAccessorsDoNotLatch(t *testing.T) {
+	for name, opts := range map[string]Options{"full": {}, "sampled": {SampleK: 2}} {
+		for seed := int64(0); seed < 3; seed++ {
+			whole := New(opts)
+			feedRandomSited(whole, seed, 3000)
+			read := &readingSink{Detector: New(opts), t: t, fewest: -1}
+			feedRandomSited(read, seed, 3000)
+
+			label := fmt.Sprintf("%s/seed%d", name, seed)
+			compareReports(t, label, reportStrings(read.Detector), reportStrings(whole))
+			if len(read.Reports()) <= read.fewest {
+				t.Fatalf("%s: no reports after the first read; the stream cannot show latching", label)
+			}
+			if got, want := read.Stats(), whole.Stats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: stats diverge\nread:  %+v\nwhole: %+v", label, got, want)
+			}
+			if got, want := read.RacyObjects(), whole.RacyObjects(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: racy objects %v, want %v", label, got, want)
+			}
+			if read.TrieNodeCount() != whole.TrieNodeCount() {
+				t.Fatalf("%s: trie nodes %d, want %d", label, read.TrieNodeCount(), whole.TrieNodeCount())
+			}
+		}
 	}
 }

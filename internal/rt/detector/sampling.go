@@ -1,10 +1,8 @@
-// Adaptive per-site throttling: the router's sampled access pipeline.
+// Adaptive per-site throttling: the sampled access pipeline.
 //
-// The decision procedure runs on the router, synchronously, in event
-// order, whichever workers are attached — so a sampled ring-fed run
-// ships exactly the event stream the sampled inline run ships and
-// their merged reports stay byte-identical (pinned by
-// TestSampledShardedMatchesSerial and the corpus differentials).
+// The decision procedure runs synchronously, in event order, so a live
+// sampled run and a replay of its (unsampled) recorded trace ship the
+// same event stream (pinned by the corpus differentials).
 //
 // Per access at an ARMED site: the normal pipeline runs (cache →
 // ownership → trie) and the outcome is recorded as a site observation;
@@ -54,8 +52,8 @@ import (
 	"racedet/internal/rt/ownership"
 )
 
-// sampledAccess is the router's per-access pipeline when throttling is
-// on (d.sites != nil). It never mutates *a.
+// sampledAccess is the per-access pipeline when throttling is on
+// (d.sites != nil). It never mutates *a.
 func (d *Detector) sampledAccess(a *event.Access) {
 	d.stats.Accesses++
 	loc := a.Loc

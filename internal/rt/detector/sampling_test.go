@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"racedet/internal/faultinject"
 	"racedet/internal/lang/token"
 	"racedet/internal/rt/event"
 )
@@ -73,40 +72,6 @@ func feedRandomSited(s event.Sink, seed int64, events int) {
 		s.Joined(0, t)
 	}
 	s.ThreadFinished(0)
-}
-
-// TestSampledShardedMatchesSerial pins the strongest sampling
-// determinism property: the throttling table lives router-side and
-// evolves in serial event order, so a sampled sharded run ships the
-// exact stream the sampled serial run ships — reports, racy objects,
-// and every sampling counter are identical across back ends.
-func TestSampledShardedMatchesSerial(t *testing.T) {
-	for _, opts := range []Options{
-		{SampleK: 2},
-		{SampleK: 8},
-		{SampleK: 4, SampleBudget: 0.25},
-		{SampleBudget: 0.1},
-	} {
-		for seed := int64(0); seed < 5; seed++ {
-			serial := New(opts)
-			feedRandomSited(serial, seed, 3000)
-			want := reportStrings(serial)
-			ws := serial.Stats()
-			for _, shards := range []int{1, 2, 8} {
-				sh := NewSharded(opts, shards, 16)
-				feedRandomSited(sh, seed, 3000)
-				if err := sh.Err(); err != nil {
-					t.Fatalf("k%d/seed%d/%dshards: worker error: %v", opts.SampleK, seed, shards, err)
-				}
-				compareReports(t, "sampled sharded vs serial", reportStrings(sh), want)
-				gs := sh.Stats()
-				if gs.Accesses != ws.Accesses || gs.Shipped != ws.Shipped || gs.Sample != ws.Sample {
-					t.Fatalf("k%d/seed%d/%dshards: sampling counters diverge\nsharded: %+v %+v\nserial:  %+v %+v",
-						opts.SampleK, seed, shards, gs.Shipped, gs.Sample, ws.Shipped, ws.Sample)
-				}
-			}
-		}
-	}
 }
 
 // TestSamplingAccountingInvariant pins the documented invariant: every
@@ -242,41 +207,6 @@ func TestSamplingCrossThreadRefusalShips(t *testing.T) {
 	}
 }
 
-// TestSampledSupervisedRecovery proves throttling composes with the
-// fault-tolerant sharded back end: the site table lives router-side,
-// so worker panics, journal replay, and restarts neither corrupt it
-// nor change the sampled verdict.
-func TestSampledSupervisedRecovery(t *testing.T) {
-	opts := Options{SampleK: 2}
-	for seed := int64(0); seed < 3; seed++ {
-		clean := NewSharded(opts, 4, 16)
-		feedRandomSited(clean, seed, 3000)
-		want := reportStrings(clean)
-		wantStats := clean.Stats()
-
-		faulted := opts
-		faulted.JournalCap = 32
-		faulted.RetryBudget = 3
-		// The panic index must land below the per-shard shipped count,
-		// which throttling (now with proven-race suppression) keeps small.
-		faulted.Faults = faultinject.PanicPlan(seed, 4, 8)
-		sh := NewSharded(faulted, 4, 16)
-		feedRandomSited(sh, seed, 3000)
-		if err := sh.Err(); err != nil {
-			t.Fatalf("seed %d: supervised sampled run failed: %v", seed, err)
-		}
-		compareReports(t, "sampled supervised recovery", reportStrings(sh), want)
-		gs := sh.Stats()
-		if gs.Recovery.Restarts == 0 {
-			t.Fatalf("seed %d: fault plan injected no restarts", seed)
-		}
-		if gs.Sample != wantStats.Sample {
-			t.Fatalf("seed %d: worker restarts disturbed router-side sampling state:\nfaulted: %+v\nclean:   %+v",
-				seed, gs.Sample, wantStats.Sample)
-		}
-	}
-}
-
 // TestSamplingQuickCheckDisabled: the interpreter's inlined fast path
 // must be off under sampling so the filter sees the complete stream
 // (live runs must match trace replays event for event).
@@ -286,14 +216,8 @@ func TestSamplingQuickCheckDisabled(t *testing.T) {
 	loc := event.Loc{Obj: 100, Slot: 0}
 	d.Access(event.Access{Loc: loc, Thread: 0, Kind: event.Read, FieldName: "Q.f"})
 	if d.QuickCheck(0, loc, event.Read) {
-		t.Fatal("serial QuickCheck must be disabled under sampling")
+		t.Fatal("QuickCheck must be disabled under sampling")
 	}
-	sh := NewSharded(Options{SampleK: 4}, 2, 8)
-	sh.Access(event.Access{Loc: loc, Thread: 0, Kind: event.Read, FieldName: "Q.f"})
-	if sh.QuickCheck(0, loc, event.Read) {
-		t.Fatal("sharded QuickCheck must be disabled under sampling")
-	}
-	_ = sh.Reports()
 }
 
 // TestSamplingIgnoredUnderNoOwnership: without the ownership filter

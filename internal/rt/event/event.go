@@ -242,8 +242,8 @@ func (l Lockset) String() string {
 // Access is an access event (m, t, L, a, s).
 //
 // Field order is chosen for cache density, not readability: the event
-// pipeline buffers Access values by the thousand (Batcher runs, shard
-// ring batches, journal suffixes), so the struct keeps the wide
+// pipeline buffers Access values by the thousand (Batcher runs, trace
+// decode blocks), so the struct keeps the wide
 // pointer-bearing fields together and packs the narrow scalars into
 // one trailing word — with the int32 token.Pos fields this is 96
 // bytes per event instead of the previous layout's 104.

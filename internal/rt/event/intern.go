@@ -7,7 +7,7 @@
 //
 // Interned locksets are immutable: Lockset(id) returns the canonical
 // slice itself, never a copy, and every consumer — report paths, the
-// trie, the sharded workers — may retain it without cloning. This is
+// trie — may retain it without cloning. This is
 // what lets the detector stack drop its defensive lockset copies.
 package event
 
@@ -19,8 +19,7 @@ type LocksetID uint32
 const EmptyLocksetID LocksetID = 0
 
 // Interner hash-conses locksets and memoizes the binary relations on
-// them. It is not safe for concurrent use; each detector back end (and
-// each shard worker) owns its own.
+// them. It is not safe for concurrent use; each detector owns its own.
 type Interner struct {
 	sets    []Lockset              // id → canonical set; sets[0] = ∅
 	buckets map[uint64][]LocksetID // content hash → candidate ids

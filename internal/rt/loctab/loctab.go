@@ -193,41 +193,3 @@ func (t *Table[V]) carve(n int) []V {
 	t.free = t.free[n:]
 	return row
 }
-
-// Clone returns a deep copy whose evolution is independent of t's. The
-// copy's rows share one slab.
-func (t *Table[V]) Clone() *Table[V] {
-	nt := &Table[V]{populated: t.populated}
-	cells := 0
-	for _, row := range t.rows {
-		cells += len(row)
-	}
-	for _, row := range t.far {
-		cells += len(row)
-	}
-	nt.free = make([]V, cells)
-	if t.rows != nil {
-		nt.rows = make([][]V, len(t.rows))
-		for i, row := range t.rows {
-			if row != nil {
-				nt.rows[i] = nt.carve(len(row))
-				copy(nt.rows[i], row)
-			}
-		}
-	}
-	if len(t.far) > 0 {
-		nt.far = make(map[event.ObjID][]V, len(t.far))
-		for obj, row := range t.far {
-			nt.far[obj] = nt.carve(len(row))
-			copy(nt.far[obj], row)
-		}
-	}
-	if len(t.spill) > 0 {
-		nt.spill = make(map[event.Loc]*V, len(t.spill))
-		for l, p := range t.spill {
-			v := *p
-			nt.spill[l] = &v
-		}
-	}
-	return nt
-}

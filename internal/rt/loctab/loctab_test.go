@@ -210,34 +210,3 @@ func TestStorageProportionalToLocations(t *testing.T) {
 		t.Errorf("dense shape: %d cells for %d locations", cells, n)
 	}
 }
-
-// TestCloneIndependent checks a clone and its original evolve
-// independently, for dense and spilled cells alike.
-func TestCloneIndependent(t *testing.T) {
-	locs := []event.Loc{
-		{Obj: 1, Slot: 0}, {Obj: 2, Slot: event.ArraySlot}, {Obj: 3, Slot: event.StaticSlot(2)},
-		{Obj: -4, Slot: 0}, {Obj: 1 << 62, Slot: 1}, {Obj: 5, Slot: math.MaxInt32},
-	}
-	var tb Table[val]
-	for i, l := range locs {
-		*tb.At(l) = val{a: uint32(i + 1)}
-	}
-	cl := tb.Clone()
-	for _, l := range locs {
-		tb.At(l).b = 100
-		*tb.At(event.Loc{Obj: l.Obj, Slot: l.Slot + 1}) = val{a: 50}
-	}
-	for i, l := range locs {
-		if got := get(cl, l); got != (val{a: uint32(i + 1)}) {
-			t.Fatalf("clone changed with the original at %v: %v", l, got)
-		}
-	}
-	for _, l := range locs {
-		cl.At(l).a = 77
-	}
-	for i, l := range locs {
-		if got := get(&tb, l); got != (val{a: uint32(i + 1), b: 100}) {
-			t.Fatalf("original changed with the clone at %v: %v", l, got)
-		}
-	}
-}

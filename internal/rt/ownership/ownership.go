@@ -62,19 +62,6 @@ func NewBounded(maxLocations int) *Table {
 	return &Table{maxLocations: maxLocations}
 }
 
-// Clone returns a deep copy of the table for checkpointing. The
-// onContact callback is deliberately not copied: a checkpoint is
-// passive state and must not fire notifications into the live run.
-func (tb *Table) Clone() *Table {
-	return &Table{
-		cells:        *tb.cells.Clone(),
-		locations:    tb.locations,
-		transitions:  tb.transitions,
-		maxLocations: tb.maxLocations,
-		overflows:    tb.overflows,
-	}
-}
-
 // Filter processes an access by thread t to loc. It returns true if
 // the access must be forwarded to the detector (the location is
 // shared), false if the access is absorbed by the ownership model.

@@ -46,10 +46,8 @@
 // The table is deliberately deterministic: its evolution is a pure
 // function of the event stream (no clocks, no randomness), so a
 // sampled run reproduces bit-for-bit under the seeded scheduler, and
-// the detector runs it once, on its router, in event order, whether the
-// trie workers behind it are inline or ring-fed. The state is
-// pointer-free arrays, a dense per-location table and bounded maps,
-// and Clone produces a deep copy for journal checkpoints.
+// the detector runs it once per access, in event order. The state is
+// pointer-free arrays, a dense per-location table and bounded maps.
 package sitestate
 
 import (
@@ -594,33 +592,4 @@ func (st *Table) Stats() Stats {
 	s.CurrentK = st.k
 	s.WindowRatio = st.lastRatio
 	return s
-}
-
-// Clone returns a deep copy for checkpointing: the copy's evolution is
-// independent of the original's.
-func (st *Table) Clone() *Table {
-	nt := &Table{
-		k:             st.k,
-		budget:        st.budget,
-		window:        st.window,
-		maxTouched:    st.maxTouched,
-		priors:        st.priors, // read-only, safely shared
-		invert:        st.invert,
-		files:         make(map[string]map[uint64][2]int32, len(st.files)),
-		states:        append([]state(nil), st.states...),
-		locs:          *st.locs.Clone(),
-		nTouched:      st.nTouched,
-		windowN:       st.windowN,
-		windowShipped: st.windowShipped,
-		lastRatio:     st.lastRatio,
-		stats:         st.stats,
-	}
-	for f, ids := range st.files {
-		cp := make(map[uint64][2]int32, len(ids))
-		for pk, id := range ids {
-			cp[pk] = id
-		}
-		nt.files[f] = cp
-	}
-	return nt
 }

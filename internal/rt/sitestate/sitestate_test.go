@@ -29,7 +29,7 @@ func TestSiteInterning(t *testing.T) {
 
 // TestSiteIDFirstSeenOrder interleaves files, kinds and extreme lines
 // and columns: ids must follow first-seen order, repeat lookups must
-// agree, priors must apply, and a clone must intern independently.
+// agree, and priors must apply.
 func TestSiteIDFirstSeenOrder(t *testing.T) {
 	sites := []struct {
 		pos  token.Pos
@@ -58,19 +58,6 @@ func TestSiteIDFirstSeenOrder(t *testing.T) {
 	}
 	if s := st.Stats(); s.Sites != len(sites) || s.PriorHighSites != 1 || s.PriorLowSites != 1 {
 		t.Fatalf("stats = %+v, want %d sites, one high and one low prior", s, len(sites))
-	}
-	cl := st.Clone()
-	extra := token.Pos{File: "a.mj", Line: 9, Col: 9}
-	if id := cl.SiteID(extra, event.Read); id != int32(len(sites)) {
-		t.Fatalf("clone interned a new site as %d, want %d", id, len(sites))
-	}
-	if got := st.Stats().Sites; got != len(sites) {
-		t.Fatalf("interning in the clone grew the original to %d sites", got)
-	}
-	for i, s := range sites {
-		if id := cl.SiteID(s.pos, s.kind); id != int32(i) {
-			t.Fatalf("clone lost site %d: got id %d", i, id)
-		}
 	}
 }
 
@@ -335,50 +322,6 @@ func TestFixedKWithoutBudget(t *testing.T) {
 	}
 	if k := st.Stats().CurrentK; k != 4 {
 		t.Fatalf("CurrentK moved to %d without a budget", k)
-	}
-}
-
-func TestCloneIsIndependent(t *testing.T) {
-	st := New(Config{K: 2, Budget: 0.5})
-	a := st.SiteID(pos(1), event.Read)
-	st.Observe(a, true)
-	st.Observe(a, true)
-	st.Touch(a, event.Loc{Obj: 9, Slot: 0}, 1, false)
-	st.RecordShip(event.Loc{Obj: 11, Slot: 0}, 1, true, false)
-	st.Contact(event.Loc{Obj: 5, Slot: 0})
-
-	cl := st.Clone()
-	if !cl.Demoted(a) {
-		t.Fatalf("clone lost the demoted state")
-	}
-	// Diverge the original; the clone must not move.
-	st.Rearm(a)
-	st.SiteID(pos(99), event.Write)
-	st.Touch(a, event.Loc{Obj: 10, Slot: 0}, 2, false)
-	st.RecordShip(event.Loc{Obj: 11, Slot: 0}, 2, true, false)
-	st.ConsumeArmed(event.Loc{Obj: 5, Slot: 0})
-
-	if !cl.Demoted(a) {
-		t.Fatalf("rearming the original re-armed the clone")
-	}
-	if got := cl.Stats().Sites; got != 1 {
-		t.Fatalf("clone Sites = %d, want 1", got)
-	}
-	if !cl.CanSuppress(event.Loc{Obj: 10, Slot: 0}, 1, true) {
-		t.Fatalf("original's touch leaked into the clone")
-	}
-	if !cl.CanSuppress(event.Loc{Obj: 11, Slot: 0}, 1, true) {
-		t.Fatalf("original's post-clone shipped history leaked into the clone")
-	}
-	if !cl.ConsumeArmed(event.Loc{Obj: 5, Slot: 0}) {
-		t.Fatalf("clone lost the armed location")
-	}
-	// And the other direction: mutating the clone leaves the original alone.
-	cl.Rearm(a)
-	cl2 := st.Clone()
-	_ = cl2
-	if st.Stats().Rearms != 1 {
-		t.Fatalf("clone rearm leaked into the original")
 	}
 }
 

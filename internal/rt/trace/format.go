@@ -5,7 +5,7 @@
 // A trace captures the complete runtime event stream of one execution
 // — thread lifecycle, monitor operations, and field/array accesses —
 // exactly as the interpreter emitted it. Replaying the stream through
-// a fresh detector back end (serial or sharded) therefore reproduces
+// a fresh detector therefore reproduces
 // the live run's verdicts byte for byte, without the interpreter in
 // the loop: the detectors reconstruct their lock environments from the
 // recorded monitor/lifecycle events precisely as they do live.

@@ -91,43 +91,6 @@ func NewPacked() *Packed {
 // SetInterner attaches a lockset interner (see Detector.SetInterner).
 func (d *Packed) SetInterner(it *event.Interner) { d.intern = it }
 
-// Clone returns a deep copy for checkpointing (see Detector.Clone);
-// the interner is shared for the same append-only reason.
-func (d *Packed) Clone() *Packed {
-	nd := &Packed{
-		tries:   make(map[event.ObjID]*pnode, len(d.tries)),
-		stats:   d.stats,
-		locs:    make(map[event.Loc]struct{}, len(d.locs)),
-		intern:  d.intern,
-		pathBuf: make(event.Lockset, 0, cap(d.pathBuf)),
-	}
-	for loc := range d.locs {
-		nd.locs[loc] = struct{}{}
-	}
-	for obj, root := range d.tries {
-		nd.tries[obj] = clonePnode(root)
-	}
-	return nd
-}
-
-func clonePnode(x *pnode) *pnode {
-	n := &pnode{}
-	if len(x.labels) > 0 {
-		n.labels = append([]event.ObjID(nil), x.labels...)
-		n.kids = make([]*pnode, len(x.kids))
-		for i, k := range x.kids {
-			n.kids[i] = clonePnode(k)
-		}
-	}
-	if x.slots != nil {
-		n.slots = make(map[int32]slotState, len(x.slots))
-		for s, st := range x.slots {
-			n.slots[s] = st
-		}
-	}
-	return n
-}
-
 func (d *Packed) priorLocks(path event.Lockset) event.Lockset {
 	if d.intern != nil {
 		return d.intern.Lockset(d.intern.Intern(path))

@@ -169,54 +169,6 @@ func (d *Detector) priorLocks(path event.Lockset) event.Lockset {
 	return path.Clone()
 }
 
-// Clone returns a deep copy of the detector for checkpointing: the
-// sharded back end's supervisor snapshots each worker's history
-// between messages and restores it after a worker panic. The attached
-// interner is shared, not copied — it is content-addressed and append-
-// only, so entries added by a later-discarded execution attempt can
-// never change what any future Intern call returns.
-func (d *Detector) Clone() *Detector {
-	nd := &Detector{
-		tries:     make(map[event.Loc]*node, len(d.tries)),
-		stats:     d.stats,
-		UseTBot:   d.UseTBot,
-		maxNodes:  d.maxNodes,
-		liveNodes: d.liveNodes,
-		intern:    d.intern,
-		pathBuf:   make(event.Lockset, 0, cap(d.pathBuf)),
-	}
-	if !d.UseTBot {
-		nd.threads = make(map[*node]map[event.ThreadID]struct{}, len(d.threads))
-	}
-	for loc, root := range d.tries {
-		nd.tries[loc] = d.cloneNode(root, nd)
-	}
-	return nd
-}
-
-// cloneNode deep-copies a subtree, carrying the NoTBot thread sets
-// over to the clone's table keyed by the new nodes.
-func (d *Detector) cloneNode(x *node, dst *Detector) *node {
-	n := &node{thread: x.thread, kind: x.kind, collapsed: x.collapsed}
-	if len(x.labels) > 0 {
-		n.labels = append([]event.ObjID(nil), x.labels...)
-		n.kids = make([]*node, len(x.kids))
-		for i, k := range x.kids {
-			n.kids[i] = d.cloneNode(k, dst)
-		}
-	}
-	if !d.UseTBot {
-		if set := d.threads[x]; set != nil {
-			ns := make(map[event.ThreadID]struct{}, len(set))
-			for t := range set {
-				ns[t] = struct{}{}
-			}
-			dst.threads[n] = ns
-		}
-	}
-	return n
-}
-
 // NewNoTBot returns a detector that keeps exact thread sets per node
 // (the t⊥ ablation).
 func NewNoTBot() *Detector {

@@ -333,17 +333,16 @@ func TestFactcacheWriteFailureDegradesJob(t *testing.T) {
 }
 
 func TestDrainAbortMidReplayLeavesWalIncomplete(t *testing.T) {
-	// A trace-replay job is slowed by an injected shard fault, then the
-	// daemon drains with a deadline it cannot meet. The job must be
+	// A trace-replay job's first attempt panics and its retry waits out
+	// a long backoff, so the daemon drains with a deadline it cannot
+	// meet. The job must be
 	// counted aborted_at_drain, its WAL admit must stay incomplete, and
 	// the restarted daemon must re-run it to the full verdict.
 	traceBytes, live := recordTrace(t, "racy.mj", racyProg, 0)
 
 	dir := t.TempDir()
-	s1, c1, _, stop1 := stateServer(t, dir, Options{
-		Shards:            2,
-		DetectorFaultSpec: "slow:shard=*,every=1,delay=50ms",
-	})
+	plan := mustPlan(t, "session-panic:job=1")
+	s1, c1, _, stop1 := stateServer(t, dir, Options{Faults: plan, RetryBackoff: 400 * time.Millisecond})
 
 	req := JobRequest{File: "racy.mj", Trace: traceBytes, IdempotencyKey: "replay"}
 	go c1.Analyze(req) // the response is lost to the drain; the WAL is the test
@@ -368,9 +367,9 @@ func TestDrainAbortMidReplayLeavesWalIncomplete(t *testing.T) {
 	}
 	stop1()
 
-	// Restart without the slow fault: the incomplete admit re-runs and
-	// the lost client's retry is served from the recovered result.
-	s2, c2, rec, stop2 := stateServer(t, dir, Options{Shards: 2})
+	// Restart without the fault: the incomplete admit re-runs and the
+	// lost client's retry is served from the recovered result.
+	s2, c2, rec, stop2 := stateServer(t, dir, Options{})
 	defer stop2()
 	if rec.Rerun != 1 {
 		t.Fatalf("recovery = %+v, want the aborted job re-run", rec)

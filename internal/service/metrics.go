@@ -57,14 +57,6 @@ type metrics struct {
 	factFnHits      atomic.Uint64
 	factFnMisses    atomic.Uint64
 
-	// Sharded back-end recovery, aggregated across all sessions' runs.
-	workerRestarts     atomic.Uint64
-	eventsReplayed     atomic.Uint64
-	checkpoints        atomic.Uint64
-	degradedShards     atomic.Uint64
-	droppedEvents      atomic.Uint64
-	backpressureStalls atomic.Uint64
-
 	// Adaptive throttling, aggregated across all sessions' runs. Per
 	// run the filter accounts for every observed event exactly once:
 	// observed == shipped + cache hits + owner skips + suppressed, so
@@ -135,13 +127,6 @@ type Snapshot struct {
 	FactFnHits      uint64
 	FactFnMisses    uint64
 
-	WorkerRestarts     uint64
-	EventsReplayed     uint64
-	Checkpoints        uint64
-	DegradedShards     uint64
-	DroppedEvents      uint64
-	BackpressureStalls uint64
-
 	EventsShipped    uint64
 	EventsSuppressed uint64
 	SitesDemoted     uint64
@@ -190,12 +175,6 @@ func (m *metrics) snapshot() Snapshot {
 		FactProgramHits:      m.factProgramHits.Load(),
 		FactFnHits:           m.factFnHits.Load(),
 		FactFnMisses:         m.factFnMisses.Load(),
-		WorkerRestarts:       m.workerRestarts.Load(),
-		EventsReplayed:       m.eventsReplayed.Load(),
-		Checkpoints:          m.checkpoints.Load(),
-		DegradedShards:       m.degradedShards.Load(),
-		DroppedEvents:        m.droppedEvents.Load(),
-		BackpressureStalls:   m.backpressureStalls.Load(),
 		EventsShipped:        m.eventsShipped.Load(),
 		EventsSuppressed:     m.eventsSuppressed.Load(),
 		SitesDemoted:         m.sitesDemoted.Load(),
@@ -247,12 +226,6 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 		"factcache_program_hits":       int64(s.FactProgramHits),
 		"factcache_fn_hits":            int64(s.FactFnHits),
 		"factcache_fn_misses":          int64(s.FactFnMisses),
-		"worker_restarts":              int64(s.WorkerRestarts),
-		"events_replayed":              int64(s.EventsReplayed),
-		"checkpoints":                  int64(s.Checkpoints),
-		"degraded_shards":              int64(s.DegradedShards),
-		"dropped_events":               int64(s.DroppedEvents),
-		"backpressure_stalls":          int64(s.BackpressureStalls),
 		"events_shipped":               int64(s.EventsShipped),
 		"events_suppressed":            int64(s.EventsSuppressed),
 		"sites_demoted":                int64(s.SitesDemoted),

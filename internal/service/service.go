@@ -16,8 +16,7 @@
 //     (or the daemon) down, and never loses an analysis silently.
 //   - Admission control. Session slots are bounded and a bounded
 //     queue fronts them; past both bounds the daemon load-sheds with
-//     HTTP 503 + Retry-After instead of growing without bound,
-//     mirroring the sharded back end's router backpressure.
+//     HTTP 503 + Retry-After instead of growing without bound.
 //   - Watchdogs. Each job runs under the wall-clock and livelock
 //     watchdogs of the fuzzing harness; a fired watchdog fails only
 //     that job — with a partial race report — and is counted.
@@ -103,29 +102,15 @@ type Options struct {
 	// crash, not a machine crash).
 	WalSync string
 
-	// DetectorFaultSpec, when non-empty, is a shard-level fault
-	// injection spec (see internal/faultinject) passed to every
-	// session's detector back end — the knob the durability tests use
-	// to make a replay deterministically slow or crashy inside the
-	// session. Requires the sharded back end (Shards >= 1 after
-	// defaults) to have any effect.
-	DetectorFaultSpec string
-
 	// MaxTraceBytes bounds an uploaded binary trace in a replay job
 	// (default 8 MiB; negative removes the per-trace bound, leaving
 	// only the request-body limit). Traces above the bound are
 	// rejected as bad requests before any decoding happens.
 	MaxTraceBytes int
 
-	// Per-session detector defaults (overridable per job): Shards
-	// selects the sharded back end (default 2; a value < 0 forces the
-	// serial back end), BatchSize the per-thread event batching, and
-	// JournalCap/ShardRetryBudget its supervision, exactly as in
-	// racedet.Options.
-	Shards           int
-	BatchSize        int
-	JournalCap       int
-	ShardRetryBudget int
+	// BatchSize is the per-session event batching default
+	// (overridable per job), exactly as in racedet.Options.
+	BatchSize int
 
 	// SampleK/SampleBudget are the per-session adaptive-throttling
 	// defaults (overridable per job), exactly as in racedet.Options:
@@ -136,9 +121,7 @@ type Options struct {
 	SampleBudget float64
 
 	// Faults installs deterministic session-level and disk-level fault
-	// injection (nil in production). Shard-level faults for the
-	// sessions' detector back ends go through DetectorFaultSpec
-	// instead, so every session gets its own fresh fault state.
+	// injection (nil in production).
 	Faults *faultinject.Plan
 
 	// Log receives one line per lifecycle event (nil = discard).
@@ -178,21 +161,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 5 * time.Millisecond
-	}
-	switch {
-	case o.Shards == 0:
-		o.Shards = 2
-	case o.Shards < 0:
-		o.Shards = 0
-	}
-	if o.JournalCap == 0 {
-		o.JournalCap = 4096
-	}
-	if o.JournalCap < 0 {
-		o.JournalCap = 0
-	}
-	if o.ShardRetryBudget <= 0 {
-		o.ShardRetryBudget = 3
 	}
 	switch {
 	case o.MaxTraceBytes == 0:
@@ -721,7 +689,7 @@ func (s *Server) validateTrace(req JobRequest) error {
 // budget outside [0, 1] can never be satisfied and is refused before
 // the job occupies a session slot. SampleK's sign is meaningful and
 // never rejected (> 0 overrides the daemon default, < 0 forces
-// throttling off, mirroring the Shards convention).
+// throttling off).
 func validateSampling(req JobRequest) error {
 	if req.SampleBudget < 0 || req.SampleBudget > 1 {
 		return fmt.Errorf("sample_budget must be in [0, 1] (got %g)", req.SampleBudget)

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -64,8 +66,7 @@ func mustPlan(t *testing.T, spec string) *faultinject.Plan {
 }
 
 // oneShot runs the same program through the public one-shot API with
-// the daemon-equivalent options; sharded and serial back ends emit
-// identical reports, so this is the reference verdict.
+// the daemon-equivalent options: the reference verdict.
 func oneShot(t *testing.T, file, src string, seed int64) *racedet.Result {
 	t.Helper()
 	res, err := racedet.Detect(file, src, racedet.Options{Seed: seed})
@@ -139,6 +140,51 @@ func TestDetectorSelection(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("eraser job missing baseline reports: %+v", res)
+	}
+}
+
+// TestShardsFieldIgnored pins wire compatibility: the job JSON's
+// "shards" field is still accepted, and ignored, so a job that sets
+// it gets exactly the verdict of one that does not.
+func TestShardsFieldIgnored(t *testing.T) {
+	_, c, stop := newTestServer(t, Options{})
+	defer stop()
+
+	post := func(body map[string]any) JobResult {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(c.Base+"/analyze", "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", data, resp.StatusCode)
+		}
+		var res JobResult
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	base := map[string]any{"file": "racy.mj", "source": racyProg, "seed": 3}
+	want := post(base)
+	if len(want.Races) == 0 || want.CompileError != "" || want.RuntimeError != "" {
+		t.Fatalf("reference job: %+v", want)
+	}
+	for _, shards := range []int{4, -1} {
+		body := map[string]any{"shards": shards}
+		for k, v := range base {
+			body[k] = v
+		}
+		got := post(body)
+		if !reflect.DeepEqual(got.Races, want.Races) || got.RacyObjects != want.RacyObjects ||
+			got.Output != want.Output || !reflect.DeepEqual(got.Stats, want.Stats) {
+			t.Errorf("shards=%d changed the verdict:\n got %+v\nwant %+v", shards, got, want)
+		}
 	}
 }
 
@@ -612,10 +658,16 @@ func TestMetricsEndpointFormat(t *testing.T) {
 	for _, key := range []string{
 		"jobs_admitted", "jobs_completed", "jobs_shed", "jobs_aborted_at_drain",
 		"session_panics", "watchdog_fires", "races_reported", "draining",
-		"factcache_program_hits", "worker_restarts", "backpressure_stalls",
+		"factcache_program_hits", "session_retries", "queue_high_water",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %s", key)
+		}
+	}
+	// Detection is serial: there are no shard workers to count.
+	for _, key := range []string{"worker_restarts", "degraded_shards", "backpressure_stalls"} {
+		if _, ok := m[key]; ok {
+			t.Errorf("metrics still export %s", key)
 		}
 	}
 	if m["draining"] != 0 {

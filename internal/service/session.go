@@ -15,8 +15,8 @@ import (
 
 // JobRequest is the wire format of one compile+analyze job. Only the
 // fields a tenant legitimately varies per job are exposed; the
-// operator-owned robustness knobs (watchdogs, retry budgets, journal
-// capacity, fact cache) come from the daemon's Options.
+// operator-owned robustness knobs (watchdogs, retry budget, fact
+// cache) come from the daemon's Options.
 type JobRequest struct {
 	// File names the program in diagnostics; Source is the MJ text.
 	File   string `json:"file"`
@@ -36,8 +36,9 @@ type JobRequest struct {
 	// Detector selects the runtime algorithm: "trie" (default),
 	// "eraser", "objectrace", "hb".
 	Detector string `json:"detector,omitempty"`
-	// Shards/Batch override the daemon's per-session back-end defaults
-	// when > 0; Shards < 0 forces the serial back end for this job.
+	// Shards is accepted for wire compatibility and ignored: detection
+	// always runs serially. Batch > 0 overrides the daemon's per-session
+	// event batching default.
 	Shards int `json:"shards,omitempty"`
 	Batch  int `json:"batch,omitempty"`
 	// NoStatic disables the static race analysis for this job
@@ -117,14 +118,7 @@ func (s *Server) jobOptions(req JobRequest) racedet.Options {
 		Timeout:               s.opts.JobTimeout,
 		LivelockWindow:        s.opts.LivelockWindow,
 		FactCacheDir:          s.opts.FactCacheDir,
-		Shards:                s.opts.Shards,
 		BatchSize:             s.opts.BatchSize,
-	}
-	switch {
-	case req.Shards > 0:
-		o.Shards = req.Shards
-	case req.Shards < 0:
-		o.Shards = 0
 	}
 	if req.Batch > 0 {
 		o.BatchSize = req.Batch
@@ -141,15 +135,6 @@ func (s *Server) jobOptions(req JobRequest) racedet.Options {
 		o.SampleBudget = req.SampleBudget
 	}
 	o.Priors = req.Priors
-	if o.Shards >= 1 {
-		o.JournalCap = s.opts.JournalCap
-		o.RetryBudget = s.opts.ShardRetryBudget
-		// Shard-level faults in the daemon's plan reach each session's
-		// sharded back end through the spec (the structural *Plan in
-		// Options.Faults is daemon-scoped; per-session state like fault
-		// op counters must not be shared across jobs).
-		o.FaultInjection = s.opts.DetectorFaultSpec
-	}
 	o.Detector, _ = detectorFor(req.Detector) // validated at admission
 	return o
 }
@@ -192,9 +177,7 @@ func (s *Server) runSession(job uint64, req JobRequest) JobResult {
 	// still gets an explicit verdict instead of a lost analysis.
 	eopts := opts
 	eopts.Detector = racedet.Eraser
-	eopts.Shards = 0
 	eopts.BatchSize = 0
-	eopts.JournalCap = 0
 	eopts.FactCacheDir = "" // the degraded pass must not depend on shared state
 	res, err, panicked := s.attempt(job, req, eopts, false)
 	if panicked {
@@ -292,12 +275,6 @@ func (s *Server) finishResult(out jobOutcome, err error, retries int) JobResult 
 	s.m.factFnHits.Add(uint64(res.Stats.FactCacheFnHits))
 	s.m.factFnMisses.Add(uint64(res.Stats.FactCacheFnMisses))
 	s.m.factWriteErrors.Add(uint64(res.Stats.FactCacheWriteErrors))
-	s.m.workerRestarts.Add(res.Stats.WorkerRestarts)
-	s.m.eventsReplayed.Add(res.Stats.EventsReplayed)
-	s.m.checkpoints.Add(res.Stats.Checkpoints)
-	s.m.degradedShards.Add(uint64(res.Stats.DegradedShards))
-	s.m.droppedEvents.Add(res.Stats.DroppedEvents)
-	s.m.backpressureStalls.Add(res.Stats.BackpressureStalls)
 	s.m.eventsShipped.Add(res.Stats.EventsShipped)
 	s.m.eventsSuppressed.Add(res.Stats.EventsSuppressed)
 	s.m.sitesDemoted.Add(res.Stats.SitesDemoted)

@@ -45,25 +45,18 @@ func TestTraceJobMatchesSourceJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("source job: %v", err)
 	}
-	for _, cfg := range []JobRequest{
-		{File: "racy.mjtrace", Trace: data},
-		{File: "racy.mjtrace", Trace: data, Shards: 4},
-		{File: "racy.mjtrace", Trace: data, Shards: -1},
-		{File: "racy.mjtrace", Trace: data, Shards: 2, Batch: 64},
-	} {
-		res, err := c.Analyze(cfg)
-		if err != nil {
-			t.Fatalf("trace job (shards=%d): %v", cfg.Shards, err)
-		}
-		if res.CompileError != "" || res.RuntimeError != "" || res.Degraded {
-			t.Fatalf("trace job not clean: %+v", res)
-		}
-		if !reflect.DeepEqual(res.Races, stripPartners(src.Races)) {
-			t.Errorf("trace job races (shards=%d):\n got %+v\nwant %+v", cfg.Shards, res.Races, src.Races)
-		}
-		if len(res.Races) == 0 || res.Races[0].Field != "Data.f" {
-			t.Errorf("trace job lost the race: %+v", res.Races)
-		}
+	res, err := c.Analyze(JobRequest{File: "racy.mjtrace", Trace: data})
+	if err != nil {
+		t.Fatalf("trace job: %v", err)
+	}
+	if res.CompileError != "" || res.RuntimeError != "" || res.Degraded {
+		t.Fatalf("trace job not clean: %+v", res)
+	}
+	if !reflect.DeepEqual(res.Races, stripPartners(src.Races)) {
+		t.Errorf("trace job races:\n got %+v\nwant %+v", res.Races, src.Races)
+	}
+	if len(res.Races) == 0 || res.Races[0].Field != "Data.f" {
+		t.Errorf("trace job lost the race: %+v", res.Races)
 	}
 	if len(live.Races) == 0 {
 		t.Errorf("recording run lost the race: %+v", live)
@@ -71,7 +64,7 @@ func TestTraceJobMatchesSourceJob(t *testing.T) {
 
 	// A clean program's trace replays clean.
 	cdata, _ := recordTrace(t, "clean.mj", cleanProg, 0)
-	res, err := c.Analyze(JobRequest{File: "clean.mjtrace", Trace: cdata})
+	res, err = c.Analyze(JobRequest{File: "clean.mjtrace", Trace: cdata})
 	if err != nil {
 		t.Fatalf("clean trace job: %v", err)
 	}
@@ -83,8 +76,8 @@ func TestTraceJobMatchesSourceJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	if m["trace_jobs"] != 5 {
-		t.Errorf("trace_jobs = %d, want 5", m["trace_jobs"])
+	if m["trace_jobs"] != 2 {
+		t.Errorf("trace_jobs = %d, want 2", m["trace_jobs"])
 	}
 	if got := s.Metrics(); got.Terminal() != got.JobsAdmitted {
 		t.Errorf("terminal=%d admitted=%d", got.Terminal(), got.JobsAdmitted)

@@ -165,40 +165,10 @@ type Options struct {
 	MaxCacheThreads   int
 	MaxOwnerLocations int
 
-	// Shards, when > 1, runs detection on that many location-sharded
-	// worker goroutines. Race reports are merged deterministically and
-	// match the serial back end byte for byte (for unbounded detector
-	// memory). Only the trie detector honors it.
-	Shards int
 	// BatchSize, when > 0, buffers access events per thread and hands
 	// them to the detector in batches of up to this size; event order
 	// and reports are unchanged.
 	BatchSize int
-
-	// JournalCap enables fault tolerance for sharded detection: each
-	// shard journals its routed events and checkpoints its state, so a
-	// crashed worker is restarted and replayed — and, once RetryBudget
-	// is exhausted, degraded to a simpler lockset detector — instead of
-	// failing the run (0 = off). Recovery work is quantified in Stats.
-	JournalCap int
-	// RetryBudget is the number of restart attempts per shard before it
-	// degrades (0 = degrade on the first crash). Meaningful only with
-	// JournalCap > 0.
-	RetryBudget int
-	// ShardQueueDepth bounds each shard's event queue in messages
-	// (0 = a small default). A full queue blocks the event producer
-	// unless DropOnBackpressure is set.
-	ShardQueueDepth int
-	// DropOnBackpressure sheds load instead of blocking when a shard
-	// queue is full: access batches are dropped with exact accounting
-	// in Stats (the run may then under-report races). Control events
-	// are never dropped.
-	DropOnBackpressure bool
-	// FaultInjection is a deterministic fault-injection spec for
-	// robustness testing of sharded detection, e.g.
-	// "panic:shard=1,event=100" (see internal/faultinject for the
-	// syntax). Empty disables injection; an invalid spec fails Detect.
-	FaultInjection string
 
 	// SampleK > 0 enables adaptive per-site throttling: a static
 	// access site that produces SampleK consecutive clean observations
@@ -264,13 +234,7 @@ func (o Options) config() core.Config {
 	cfg.MaxTrieNodes = o.MaxTrieNodes
 	cfg.MaxCacheThreads = o.MaxCacheThreads
 	cfg.MaxOwnerLocations = o.MaxOwnerLocations
-	cfg.Shards = o.Shards
 	cfg.BatchSize = o.BatchSize
-	cfg.JournalCap = o.JournalCap
-	cfg.RetryBudget = o.RetryBudget
-	cfg.ShardQueueDepth = o.ShardQueueDepth
-	cfg.DropOnBackpressure = o.DropOnBackpressure
-	cfg.FaultSpec = o.FaultInjection
 	cfg.SampleK = o.SampleK
 	cfg.SampleBudget = o.SampleBudget
 	cfg.Priors = o.Priors
@@ -346,23 +310,6 @@ type Stats struct {
 	TrieCollapses        uint64 // per-location histories discarded
 	CacheThreadEvictions uint64 // whole per-thread caches discarded
 	OwnerOverflows       uint64 // accesses forwarded as born-shared
-
-	// Fault-tolerance counters of supervised sharded runs (all zero
-	// for serial or unsupervised runs). WorkerRestarts and
-	// EventsReplayed describe exact recoveries; DegradedShards > 0 or
-	// DroppedEvents > 0 mean the affected shards' reports are
-	// best-effort rather than byte-exact.
-	WorkerRestarts uint64
-	EventsReplayed uint64
-	Checkpoints    uint64
-	DegradedShards int
-	DegradedEvents uint64
-	DroppedEvents  uint64
-	// BackpressureStalls counts blocking sends that found a shard
-	// queue full (router stalls); long-running services watch it to
-	// size their queues.
-	BackpressureStalls uint64
-	QueueHighWater     int
 
 	// Adaptive-sampling counters (all zero unless Options.SampleK or
 	// Options.SampleBudget enabled throttling). The filter stages
@@ -580,7 +527,7 @@ func Replay(r io.Reader, opts Options) (*Result, error) {
 
 // ReplayTrace performs offline detection on a binary event trace
 // previously recorded via Options.TraceTo: the detector stack
-// configured by opts (serial or sharded, any ablation) sees exactly
+// configured by opts (any ablation) sees exactly
 // the event stream of the original run without re-executing the
 // program, so at the recording configuration the verdicts are
 // byte-identical to the live run's. parallel bounds the trace's
@@ -665,14 +612,6 @@ func convert(res *core.RunResult) *Result {
 			TrieCollapses:        res.DetectorStats.Trie.Collapses,
 			CacheThreadEvictions: res.DetectorStats.Cache.ThreadEvictions,
 			OwnerOverflows:       res.DetectorStats.OwnerOverflows,
-			WorkerRestarts:       res.DetectorStats.Recovery.Restarts,
-			EventsReplayed:       res.DetectorStats.Recovery.Replayed,
-			Checkpoints:          res.DetectorStats.Recovery.Checkpoints,
-			DegradedShards:       res.DetectorStats.Recovery.DegradedShards,
-			DegradedEvents:       res.DetectorStats.Recovery.DegradedEvents,
-			DroppedEvents:        res.DetectorStats.Recovery.DroppedEvents,
-			BackpressureStalls:   res.DetectorStats.Recovery.BackpressureStalls,
-			QueueHighWater:       res.DetectorStats.Recovery.QueueHighWater,
 			EventsShipped:        res.DetectorStats.Shipped,
 			EventsSuppressed:     res.DetectorStats.Sample.Suppressed,
 			SitesSampled:         res.DetectorStats.Sample.Sites,
