@@ -1,7 +1,9 @@
 package main
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -16,6 +18,7 @@ func TestCLIFlagValidation(t *testing.T) {
 	}
 	bin := buildCLI(t)
 	prog := writeProg(t, racyProg)
+	noFile := filepath.Join(t.TempDir(), "never-written.mjtrace")
 
 	cases := []struct {
 		name string
@@ -27,9 +30,11 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag", prog}, "flag"},
 		{"shards flag removed", []string{"-shards", "2", prog}, "flag provided but not defined"},
 		{"record and replay-trace", []string{"-record", "t.mjtrace", "-replay-trace", "t.mjtrace"}, "-record and -replay-trace are mutually exclusive"},
-		{"replay and replay-trace", []string{"-replay", "t.log", "-replay-trace", "t.mjtrace"}, "-replay and -replay-trace are mutually exclusive"},
+		{"replay flag removed", []string{"-replay", "t.log", prog}, "flag provided but not defined"},
 		{"fuzz and replay-trace", []string{"-fuzz", "4", "-replay-trace", "t.mjtrace"}, "-fuzz explores live schedules"},
-		{"fullrace and replay-trace", []string{"-fullrace", "-replay-trace", "t.mjtrace"}, "-fullrace works on text event logs"},
+		{"fullrace without replay-trace", []string{"-fullrace", prog}, "-fullrace requires -replay-trace"},
+		{"fullrace and ablate", []string{"-fullrace", "-replay-trace", "t.mjtrace", "-ablate", "Full"}, "cannot be combined with -ablate"},
+		{"record and fuzz", []string{"-fuzz", "4", "-record", noFile, prog}, "cannot be combined with -fuzz"},
 		{"ablate without replay-trace", []string{"-ablate", "Full,NoCache", prog}, "-ablate requires -replay-trace"},
 		{"replay-workers zero", []string{"-replay-workers", "0", "-replay-trace", "t.mjtrace"}, "-replay-workers must be >= 1"},
 		{"replay-workers negative", []string{"-replay-workers", "-2", "-replay-trace", "t.mjtrace"}, "-replay-workers must be >= 1"},
@@ -56,6 +61,10 @@ func TestCLIFlagValidation(t *testing.T) {
 				t.Errorf("stderr missing %q:\n%s", tc.want, out)
 			}
 		})
+	}
+
+	if _, err := os.Stat(noFile); err == nil {
+		t.Errorf("a rejected -record wrote %s", noFile)
 	}
 
 	// Defaults stay legal: not passing the flags at all must not trip

@@ -17,14 +17,13 @@
 // and -replay-schedule re-executes one deterministically.
 //
 // Record once, analyze many: -record run.mjtrace captures the run as a
-// compact binary event trace (a .mjtrace extension selects the binary
-// format; any other extension keeps the text event log). The trace
-// replays offline into any detector configuration without re-executing
-// the program: -replay-trace run.mjtrace honors the usual ablation
-// flags (-nocache, -batch, ...), and -ablate "Full,NoCache,Eraser"
-// sweeps several named configurations over one trace in a single
-// process. -replay-workers bounds the parallel
-// segment decoders.
+// compact binary event trace. The trace replays offline into any
+// detector configuration without re-executing the program:
+// -replay-trace run.mjtrace honors the usual ablation flags (-nocache,
+// -batch, ...), -ablate "Full,NoCache,Eraser" sweeps several named
+// configurations over one trace in a single process, and -fullrace
+// reconstructs every racing access pair instead (§2.5's FullRace).
+// -replay-workers bounds the parallel segment decoders.
 //
 // Exit codes:
 //
@@ -72,12 +71,11 @@ func main() {
 		maxSteps        = flag.Uint64("maxsteps", 0, "instruction budget (0 = default 200M)")
 		quiet           = flag.Bool("q", false, "suppress program output")
 		showStats       = flag.Bool("stats", false, "print pipeline statistics")
-		recordPath      = flag.String("record", "", "write the event log to this file for post-mortem analysis (.mjtrace extension selects the compact binary trace)")
-		replayPath      = flag.String("replay", "", "post-mortem: replay a recorded event log instead of running a program")
+		recordPath      = flag.String("record", "", "write the run's binary event trace (.mjtrace) to this file for post-mortem analysis")
 		replayTracePath = flag.String("replay-trace", "", "offline detection: replay a recorded binary trace (.mjtrace) through the configured detector instead of running a program")
 		ablateList      = flag.String("ablate", "", `with -replay-trace: comma-separated named configurations to sweep over the trace in one process, e.g. "Full,NoCache,Eraser"`)
 		replayWorkers   = flag.Int("replay-workers", 0, "with -replay-trace: parallel trace-segment decoders (0 = one per CPU)")
-		fullRace        = flag.Bool("fullrace", false, "with -replay: reconstruct every racing access pair (O(N^2))")
+		fullRace        = flag.Bool("fullrace", false, "with -replay-trace: reconstruct every racing access pair (O(N^2)) instead of running the detector")
 		deadlocks       = flag.Bool("deadlock", false, "also run the lock-order potential-deadlock analysis")
 		immut           = flag.Bool("immutability", false, "also classify shared fields as observed-immutable or mutable")
 
@@ -164,7 +162,7 @@ func main() {
 		switch {
 		case *noStatic:
 			flagErr = fmt.Errorf("-static-report/-static-only run the static phase; drop -nostatic")
-		case *replayTracePath != "" || *replayPath != "":
+		case *replayTracePath != "":
 			flagErr = fmt.Errorf("-static-report/-static-only analyze a program, not a recorded trace")
 		case *fuzzN > 0:
 			flagErr = fmt.Errorf("-static-report/-static-only are purely static and cannot be combined with -fuzz")
@@ -174,13 +172,17 @@ func main() {
 		switch {
 		case *recordPath != "":
 			flagErr = fmt.Errorf("-record and -replay-trace are mutually exclusive: a replay consumes a trace, it does not produce one")
-		case *replayPath != "":
-			flagErr = fmt.Errorf("-replay and -replay-trace are mutually exclusive: pick the text event log or the binary trace")
 		case *fuzzN > 0:
 			flagErr = fmt.Errorf("-fuzz explores live schedules and cannot be combined with -replay-trace")
-		case *fullRace:
-			flagErr = fmt.Errorf("-fullrace works on text event logs (-replay), not binary traces")
+		case *fullRace && *ablateList != "":
+			flagErr = fmt.Errorf("-fullrace reconstructs pairs under the raw race definition and cannot be combined with -ablate")
 		}
+	}
+	if flagErr == nil && *fullRace && *replayTracePath == "" {
+		flagErr = fmt.Errorf("-fullrace requires -replay-trace")
+	}
+	if flagErr == nil && *fuzzN > 0 && *recordPath != "" {
+		flagErr = fmt.Errorf("-record captures one run and cannot be combined with -fuzz, whose runs execute in parallel")
 	}
 	if flagErr == nil && *ablateList != "" && *replayTracePath == "" {
 		flagErr = fmt.Errorf("-ablate requires -replay-trace")
@@ -243,8 +245,8 @@ func main() {
 		os.Exit(exitInternal)
 	}
 
-	if *replayPath != "" {
-		exit(replay(*replayPath, *fullRace))
+	if *replayTracePath != "" && *fullRace {
+		exit(fullRacePairs(*replayTracePath))
 	}
 	if *replayTracePath != "" {
 		exit(replayTrace(*replayTracePath, opts, *ablateList, *replayWorkers))
@@ -308,14 +310,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// The extension picks the format: .mjtrace records the compact
-		// binary trace (replay with -replay-trace), anything else the
-		// legacy text event log (replay with -replay).
-		if strings.HasSuffix(*recordPath, ".mjtrace") {
-			opts.TraceTo = recordFile
-		} else {
-			opts.RecordTo = recordFile
-		}
+		opts.TraceTo = recordFile
 	}
 	if *schedIn != "" {
 		trace, err := os.ReadFile(*schedIn)
@@ -590,43 +585,26 @@ func replayTrace(path string, opts racedet.Options, ablate string, workers int) 
 	return exitClean
 }
 
-// replay performs post-mortem detection on a recorded event log.
-func replay(path string, fullRace bool) int {
+// fullRacePairs reconstructs every racing access pair from a recorded
+// trace (§2.5's FullRace) and prints them.
+func fullRacePairs(path string) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "racedet:", err)
 		return exitInternal
 	}
 	defer f.Close()
-
-	if fullRace {
-		pairs, err := racedet.FullRace(f, 0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "racedet:", err)
-			return exitInternal
-		}
-		for _, p := range pairs {
-			fmt.Printf("%s\n  <races with>\n%s\n\n", p.First, p.Second)
-		}
-		fmt.Fprintf(os.Stderr, "racedet: %d racing pair(s) reconstructed\n", len(pairs))
-		if len(pairs) > 0 {
-			return exitRaces
-		}
-		return exitClean
-	}
-
-	res, err := racedet.Replay(f, racedet.Options{})
+	pairs, err := racedet.FullRace(f, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "racedet:", err)
 		return exitInternal
 	}
-	for _, r := range res.Races {
-		fmt.Println(r)
+	for _, p := range pairs {
+		fmt.Printf("%s\n  <races with>\n%s\n\n", p.First, p.Second)
 	}
-	if res.RacyObjects > 0 {
-		fmt.Fprintf(os.Stderr, "racedet: dataraces reported on %d object(s)\n", res.RacyObjects)
+	fmt.Fprintf(os.Stderr, "racedet: %d racing pair(s) reconstructed\n", len(pairs))
+	if len(pairs) > 0 {
 		return exitRaces
 	}
-	fmt.Fprintln(os.Stderr, "racedet: no dataraces detected")
 	return exitClean
 }

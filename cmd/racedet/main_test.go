@@ -70,27 +70,6 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("missing -stats output:\n%s", text)
 	}
 
-	// Record + replay round trip.
-	log := filepath.Join(t.TempDir(), "events.log")
-	out, _ = exec.Command(bin, "-q", "-record", log, prog).CombinedOutput()
-	if _, err := os.Stat(log); err != nil {
-		t.Fatalf("no event log written: %v\n%s", err, out)
-	}
-	out, err = exec.Command(bin, "-replay", log).CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-		t.Fatalf("replay exit = %v, want 1\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "datarace on Data.f") {
-		t.Errorf("replay missing report:\n%s", out)
-	}
-	out, err = exec.Command(bin, "-replay", log, "-fullrace").CombinedOutput()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-		t.Fatalf("fullrace exit = %v, want 1\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "racing pair") {
-		t.Errorf("fullrace missing pairs:\n%s", out)
-	}
-
 	// Baseline detector flag.
 	out, _ = exec.Command(bin, "-q", "-detector", "eraser", prog).CombinedOutput()
 	if !strings.Contains(string(out), "ERASER RACE") {

@@ -93,6 +93,42 @@ func TestCLITraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCLIFullRace: -record writes a trace whatever the file's
+// extension, and -replay-trace -fullrace reconstructs the racing pairs
+// from it — printed pair by pair, exit 1 when any exist. A text event
+// log is not a trace and fails like any other corrupt input.
+func TestCLIFullRace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	prog := "../../internal/corpus/testdata/double_checked_locking.mj"
+	tracePath := filepath.Join(dir, "run.log")
+
+	if out, code := run(t, bin, "-q", "-record", tracePath, prog); code != exitRaces {
+		t.Fatalf("live run exit = %d, want %d\n%s", code, exitRaces, out)
+	}
+	if out, code := run(t, bin, "-replay-trace", tracePath); code != exitRaces {
+		t.Fatalf("-replay-trace of a -record run.log: exit = %d, want %d\n%s", code, exitRaces, out)
+	}
+	out, code := run(t, bin, "-replay-trace", tracePath, "-fullrace")
+	if code != exitRaces {
+		t.Fatalf("-fullrace exit = %d, want %d\n%s", code, exitRaces, out)
+	}
+	if !strings.Contains(out, "\n  <races with>\n") || !strings.Contains(out, "racing pair(s) reconstructed") {
+		t.Errorf("-fullrace printed no pairs:\n%s", out)
+	}
+
+	textLog := filepath.Join(dir, "text.log")
+	if err := os.WriteFile(textLog, []byte("S 0 -1\nS 1 0\n"+strings.Repeat("A 1 10 0 W Data.f prog.mj:3:5\n", 4)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, code := run(t, bin, "-replay-trace", textLog, "-fullrace"); code != exitInternal || !strings.Contains(out, "not a .mjtrace file") {
+		t.Errorf("-fullrace on a text log: exit = %d, want %d\n%s", code, exitInternal, out)
+	}
+}
+
 // TestCLITraceCorrupt pins the hardening contract end to end: a
 // missing, truncated, or not-a-trace file fed to -replay-trace is a
 // clean structured failure with exit 3 — never a panic, never a bogus

@@ -10,8 +10,8 @@
 //   - the immutability analysis certifies the config fields as
 //     observed-immutable, documenting why their unlocked cross-thread
 //     reads are harmless;
-//   - the recorded event log is replayed off-line and its FullRace set
-//     reconstructed.
+//   - the recorded event trace is replayed off-line and its FullRace
+//     set reconstructed.
 //
 // Run with:
 //
@@ -19,9 +19,9 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
-	"strings"
 
 	"racedet"
 )
@@ -103,11 +103,11 @@ class Main {
 `
 
 func main() {
-	var eventLog strings.Builder
+	var eventTrace bytes.Buffer
 	res, err := racedet.Detect("coanalysis.mj", program, racedet.Options{
 		DetectDeadlocks:     true,
 		AnalyzeImmutability: true,
-		RecordTo:            &eventLog,
+		TraceTo:             &eventTrace,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -135,13 +135,13 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("== post-mortem (§1/§2.6) ==")
-	replayed, err := racedet.Replay(strings.NewReader(eventLog.String()), racedet.Options{})
+	replayed, err := racedet.ReplayTraceData(eventTrace.Bytes(), racedet.Options{}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  off-line replay reports %d racy object(s) — same as on-the-fly (%d)\n",
 		replayed.RacyObjects, res.RacyObjects)
-	pairs, err := racedet.FullRace(strings.NewReader(eventLog.String()), 0)
+	pairs, err := racedet.FullRace(bytes.NewReader(eventTrace.Bytes()), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,41 +1,66 @@
 package racedet
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"racedet/internal/rt/trace"
 )
 
-// TestPublicPostMortem exercises Options.RecordTo + Replay + FullRace
-// through the public API.
+// TestPublicPostMortem exercises Options.TraceTo + ReplayTraceData +
+// FullRace through the public API.
 func TestPublicPostMortem(t *testing.T) {
-	var log strings.Builder
-	res, err := Detect("racy.mj", racyProgram, Options{RecordTo: &log})
+	var buf bytes.Buffer
+	res, err := Detect("racy.mj", racyProgram, Options{TraceTo: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Len() == 0 {
-		t.Fatal("no event log recorded")
+	if buf.Len() == 0 {
+		t.Fatal("no trace recorded")
 	}
-	replayed, err := Replay(strings.NewReader(log.String()), Options{})
+	replayed, err := ReplayTraceData(buf.Bytes(), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if replayed.RacyObjects != res.RacyObjects {
 		t.Fatalf("replay reports %d racy objects, original %d", replayed.RacyObjects, res.RacyObjects)
 	}
-	pairs, err := FullRace(strings.NewReader(log.String()), 0)
+	pairs, err := FullRace(bytes.NewReader(buf.Bytes()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pairs) == 0 {
-		t.Fatal("FullRace empty on a racy log")
+		t.Fatal("FullRace empty on a racy trace")
 	}
 	if pairs[0].First == "" || pairs[0].Second == "" {
 		t.Fatalf("pair rendering empty: %+v", pairs[0])
 	}
-	capped, err := FullRace(strings.NewReader(log.String()), 1)
+	capped, err := FullRace(bytes.NewReader(buf.Bytes()), 1)
 	if err != nil || len(capped) != 1 {
 		t.Fatalf("maxPairs not honored: %d, %v", len(capped), err)
+	}
+}
+
+// TestFullRaceRejectsNonTrace: FullRace reads only .mjtrace; a text
+// event log or a truncated trace is a format error, not an empty
+// result.
+func TestFullRaceRejectsNonTrace(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := Detect("racy.mj", racyProgram, Options{TraceTo: &buf}); err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string][]byte{
+		"text log":  []byte("S 0 -1\nS 1 0\nA 1 10 0 W Data.f racy.mj:3:5\n"),
+		"truncated": buf.Bytes()[:buf.Len()-1],
+		"empty":     nil,
+	} {
+		_, err := FullRace(bytes.NewReader(in), 0)
+		var fe *trace.FormatError
+		if !errors.As(err, &fe) {
+			t.Errorf("%s: err = %v, want *trace.FormatError", name, err)
+		}
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"racedet/internal/rt/event"
 	"racedet/internal/rt/immutable"
 	"racedet/internal/rt/objectrace"
-	"racedet/internal/rt/postmortem"
 	"racedet/internal/rt/sitestate"
 	"racedet/internal/rt/trace"
 	"racedet/internal/rt/vclock"
@@ -147,17 +146,13 @@ type Config struct {
 	// Out receives the program's print output; nil discards.
 	Out io.Writer
 
-	// RecordTo, when non-nil, also streams the runtime event log to
-	// this writer for post-mortem analysis (§1/§2.6): replay it with
-	// ReplayLog or reconstruct FullRace with postmortem.FullRace.
-	RecordTo io.Writer
-
 	// TraceTo, when non-nil, additionally records the run as a compact
-	// binary event trace (internal/rt/trace): delta-encoded, interned,
-	// segment-indexed, replayable into any detector configuration with
-	// ReplayTrace — record once, analyze many. The writer is finalized
-	// when the run ends, even on a runtime error, so a failed run still
-	// leaves a valid partial trace.
+	// binary event trace (internal/rt/trace) for post-mortem analysis
+	// (§1/§2.6): delta-encoded, interned, segment-indexed, replayable
+	// into any detector configuration with ReplayTrace — record once,
+	// analyze many — and the input of postmortem.FullRace. The writer
+	// is finalized when the run ends, even on a runtime error, so a
+	// failed run still leaves a valid partial trace.
 	TraceTo io.Writer
 
 	// DetectDeadlocks additionally runs the lock-order-graph
@@ -779,19 +774,12 @@ func (p *Pipeline) RunConfig(cfg Config) (*RunResult, error) {
 	sink := ds.sink
 	det := ds.det
 
-	var recorder *postmortem.Recorder
-	if cfg.RecordTo != nil {
-		recorder = postmortem.NewRecorder(cfg.RecordTo)
-		// The recorder must observe every event, including the ones
-		// the detector's inlined fast path would absorb, so it wraps
-		// the sink in a MultiSink (which has no fast path).
-		sink = event.MultiSink{recorder, sink}
-	}
 	var tracer *trace.Writer
 	if cfg.TraceTo != nil {
 		tracer = trace.NewWriter(cfg.TraceTo)
-		// Same fast-path consideration as the recorder: the binary trace
-		// must capture the complete stream, so it too rides a MultiSink.
+		// The trace must observe every event, including the ones the
+		// detector's inlined fast path would absorb, so it wraps the
+		// sink in a MultiSink (which has no fast path).
 		sink = event.MultiSink{tracer, sink}
 	}
 
@@ -822,11 +810,6 @@ func (p *Pipeline) RunConfig(cfg Config) (*RunResult, error) {
 	start := time.Now()
 	res, err := machine.Run()
 	dur := time.Since(start)
-	if recorder != nil {
-		if ferr := recorder.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
 	if tracer != nil {
 		// Capture object descriptions from the final heap — the one
 		// report ingredient replay cannot re-derive from events — then
@@ -1032,25 +1015,4 @@ func RunSource(file, src string, cfg Config) (*RunResult, error) {
 		return nil, err
 	}
 	return p.Run()
-}
-
-// ReplayLog performs post-mortem detection: it feeds a recorded event
-// log (produced via Config.RecordTo) into a fresh detector stack built
-// from cfg exactly as a live run builds it (newDetectorSinks), and
-// harvests it the same way. The stack sees exactly the same event
-// stream as the on-the-fly run, so at the recording configuration the
-// verdicts and counters match (TestReplayLogMatchesLive).
-func ReplayLog(r io.Reader, cfg Config) (*RunResult, error) {
-	ds := newDetectorSinks(cfg)
-	start := time.Now()
-	if _, err := postmortem.Replay(r, ds.sink); err != nil {
-		return nil, err
-	}
-	rr := &RunResult{
-		Config:   cfg,
-		Duration: time.Since(start),
-	}
-	ds.harvest(rr)
-	rr.Interp.TraceEvents = rr.DetectorStats.Accesses
-	return rr, nil
 }

@@ -1,34 +1,54 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"reflect"
-	"strings"
 	"testing"
 
 	"racedet/internal/rt/postmortem"
+	"racedet/internal/rt/trace"
 )
 
-// TestPostMortemMatchesOnTheFly records the racy smoke program's event
-// log during an on-the-fly run, replays it off-line, and checks the
-// reports agree — the §1 post-mortem mode.
-func TestPostMortemMatchesOnTheFly(t *testing.T) {
-	var log strings.Builder
-	cfg := Full()
-	cfg.RecordTo = &log
-
-	online, err := RunSource("racy.mj", racySrc, cfg)
+// runRecorded runs the compiled program under cfg with its event
+// stream recorded as a trace, and opens the finalized trace.
+func runRecorded(t *testing.T, p *Pipeline, cfg Config) (*RunResult, *trace.Reader) {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg.TraceTo = &buf
+	res, err := p.RunConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr, err := trace.NewReader(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, tr
+}
+
+func compileRacy(t *testing.T) *Pipeline {
+	t.Helper()
+	p, err := Compile("racy.mj", racySrc, Full())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestPostMortemMatchesOnTheFly records the racy smoke program's event
+// trace during an on-the-fly run, replays it off-line, and checks the
+// reports agree — the §1 post-mortem mode.
+func TestPostMortemMatchesOnTheFly(t *testing.T) {
+	online, tr := runRecorded(t, compileRacy(t), Full())
 	if online.Err != nil {
 		t.Fatal(online.Err)
 	}
-	if log.Len() == 0 {
+	if tr.TotalEvents() == 0 {
 		t.Fatal("no events recorded")
 	}
 
-	offline, err := ReplayLog(strings.NewReader(log.String()), Full())
+	offline, err := ReplayTrace(tr, Full(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,16 +67,11 @@ func TestPostMortemMatchesOnTheFly(t *testing.T) {
 }
 
 // TestPostMortemFullRace reconstructs the complete racing-pair set
-// from the log (§2.5's FullRace, deliberately not computed on the fly).
+// from the trace (§2.5's FullRace, deliberately not computed on the
+// fly).
 func TestPostMortemFullRace(t *testing.T) {
-	var log strings.Builder
-	cfg := Full()
-	cfg.RecordTo = &log
-	if _, err := RunSource("racy.mj", racySrc, cfg); err != nil {
-		t.Fatal(err)
-	}
-
-	pairs, err := postmortem.FullRace(strings.NewReader(log.String()), 0)
+	_, tr := runRecorded(t, compileRacy(t), Full())
+	pairs, err := postmortem.FullRace(tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,30 +95,29 @@ func TestPostMortemFullRace(t *testing.T) {
 }
 
 // TestRecordingDoesNotChangeDetection guards the MultiSink wiring: the
-// recorder disables the inlined cache fast path (MultiSink has none),
-// which must not alter what is reported.
+// trace writer disables the inlined cache fast path (MultiSink has
+// none), which must not alter what is reported.
 func TestRecordingDoesNotChangeDetection(t *testing.T) {
-	plain, err := RunSource("racy.mj", racySrc, Full())
+	p := compileRacy(t)
+	plain, err := p.Run()
 	if err != nil || plain.Err != nil {
 		t.Fatalf("%v/%v", err, plain.Err)
 	}
-	var log strings.Builder
-	cfg := Full()
-	cfg.RecordTo = &log
-	recorded, err := RunSource("racy.mj", racySrc, cfg)
-	if err != nil || recorded.Err != nil {
-		t.Fatalf("%v/%v", err, recorded.Err)
+	recorded, _ := runRecorded(t, p, Full())
+	if recorded.Err != nil {
+		t.Fatal(recorded.Err)
 	}
 	if len(plain.RacyObjects) != len(recorded.RacyObjects) {
 		t.Errorf("recording changed detection: %v vs %v", plain.RacyObjects, recorded.RacyObjects)
 	}
 }
 
-// TestReplayLogMatchesLive pins that ReplayLog builds the detector the
-// live run built: for every detector option — sampling, priors and the
-// memory bounds included — replaying a recorded log under the same
-// Config must reproduce the live run's counters, reports and trie size.
-func TestReplayLogMatchesLive(t *testing.T) {
+// TestReplayTraceMatchesLive pins that ReplayTrace builds the detector
+// the live run built: for every detector option — sampling, priors and
+// the memory bounds included — replaying the recorded event log (the
+// run's trace) under the same Config must reproduce the live run's
+// counters, reports and trie size.
+func TestReplayTraceMatchesLive(t *testing.T) {
 	configs := []struct {
 		name string
 		cfg  func(Config) Config
@@ -132,14 +146,11 @@ func TestReplayLogMatchesLive(t *testing.T) {
 			if PriorsEnabled(cfg.Priors) {
 				cfg.SitePriors = p.SitePriors() // what RunConfig derives for the live run
 			}
-			var log strings.Builder
-			rec := cfg
-			rec.RecordTo = &log
-			live, err := p.RunConfig(rec)
-			if err != nil || live.Err != nil {
-				t.Fatalf("%s/%s: live run: %v / %v", prog, c.name, err, live.Err)
+			live, tr := runRecorded(t, p, cfg)
+			if live.Err != nil {
+				t.Fatalf("%s/%s: live run: %v", prog, c.name, live.Err)
 			}
-			replay, err := ReplayLog(strings.NewReader(log.String()), cfg)
+			replay, err := ReplayTrace(tr, cfg, 1)
 			if err != nil {
 				t.Fatalf("%s/%s: replay: %v", prog, c.name, err)
 			}
@@ -161,12 +172,11 @@ func TestReplayLogMatchesLive(t *testing.T) {
 	}
 }
 
-// reportLines renders reports without object descriptions, which a
-// post-mortem log does not carry.
+// reportLines renders reports as the CLI prints them; the trace
+// carries the object descriptions, so replay renders them too.
 func reportLines(rr *RunResult) []string {
 	var out []string
 	for _, r := range rr.Reports {
-		r.ObjDesc = ""
 		out = append(out, r.String())
 	}
 	return out

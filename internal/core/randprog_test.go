@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"racedet/internal/rt/detector"
 	"racedet/internal/rt/event"
 	"racedet/internal/rt/postmortem"
+	"racedet/internal/rt/trace"
 )
 
 // progGen emits random well-formed MJ programs: a few shared objects,
@@ -257,33 +259,59 @@ func TestRandomProgramsDeterminism(t *testing.T) {
 }
 
 // TestRandomProgramsSoundVsFullRace cross-validates the on-the-fly
-// detector against ground truth: for every random program, each
+// detector against ground truth: for every random program, under every
+// filter configuration and under a replay of the Full recording, each
 // location the detector reports must have at least one racing pair in
-// the FullRace set reconstructed from the recorded event log under the
-// raw §2.4 definition. (The converse need not hold: the ownership
-// model deliberately absorbs initialization hand-offs.)
+// the FullRace set reconstructed from that run's recorded trace under
+// the raw §2.4 definition. (The converse need not hold: the ownership
+// model deliberately absorbs initialization hand-offs, and sampling
+// may drop a race.)
 func TestRandomProgramsSoundVsFullRace(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		src := generateProgram(seed)
-		var log strings.Builder
-		cfg := Full()
-		cfg.RecordTo = &log
-		res, err := RunSource("rand.mj", src, cfg)
-		if err != nil || res.Err != nil {
-			t.Fatalf("seed %d: %v/%v", seed, err, res.Err)
-		}
-		pairs, err := postmortem.FullRace(strings.NewReader(log.String()), 0)
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"full", Full()},
+		{"sampled", func(c Config) Config { c.SampleK, c.SampleBudget = 2, 0.25; return c }(Full())},
+		{"batch16", func(c Config) Config { c.BatchSize = 16; return c }(Full())},
+		{"noownership", Full().NoOwnership()},
+		{"nocache", Full().NoCache()},
+	}
+	check := func(seed int64, name string, reports []detector.Report, tr *trace.Reader, src string) {
+		t.Helper()
+		pairs, err := postmortem.FullRace(tr, 0)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("seed %d %s: %v", seed, name, err)
 		}
 		truth := map[event.Loc]bool{}
 		for _, p := range pairs {
 			truth[p.First.Loc] = true
 		}
-		for _, r := range res.Reports {
+		for _, r := range reports {
 			if !truth[r.Access.Loc] {
-				t.Fatalf("seed %d: detector reported %v but FullRace has no pair there\n--- program ---\n%s",
-					seed, r.Access.Loc, src)
+				t.Fatalf("seed %d %s: detector reported %v but FullRace has no pair there\n--- program ---\n%s",
+					seed, name, r.Access.Loc, src)
+			}
+		}
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		src := generateProgram(seed)
+		p, err := Compile("rand.mj", src, Full())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, c := range configs {
+			res, tr := runRecorded(t, p, c.cfg)
+			if res.Err != nil {
+				t.Fatalf("seed %d %s: %v", seed, c.name, res.Err)
+			}
+			check(seed, c.name, res.Reports, tr, src)
+			if c.name == "full" {
+				replay, err := ReplayTrace(tr, Full(), 1)
+				if err != nil {
+					t.Fatalf("seed %d replay: %v", seed, err)
+				}
+				check(seed, "replay", replay.Reports, tr, src)
 			}
 		}
 	}

@@ -124,9 +124,6 @@ func (g *Graph) NodeOfInstr(fn *ir.Func, in *ir.Instr) *Node {
 	return g.methodNode[fn]
 }
 
-// MethodNode returns the ICG node of a method.
-func (g *Graph) MethodNode(fn *ir.Func) *Node { return g.methodNode[fn] }
-
 // Nodes returns all ICG nodes.
 func (g *Graph) Nodes() []*Node { return g.nodes }
 

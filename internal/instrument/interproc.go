@@ -1052,7 +1052,3 @@ func (ip *Interproc) StableFields() []string {
 	sort.Strings(out)
 	return out
 }
-
-// SyncFree reports whether fn is transitively free of monitor and
-// thread operations.
-func (ip *Interproc) SyncFree(fn *ir.Func) bool { return ip.syncFree[fn] }

@@ -35,9 +35,6 @@ type Value struct {
 	Ref *Object
 }
 
-// IntVal makes an int value.
-func IntVal(i int64) Value { return Value{I: i} }
-
 // BoolVal makes a boolean value.
 func BoolVal(b bool) Value {
 	if b {

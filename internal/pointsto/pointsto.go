@@ -130,9 +130,6 @@ func (r *Result) MainObj() *AbsObj { return r.mainObj }
 // ClassObj returns the abstract class object for cl.
 func (r *Result) ClassObj(cl *sem.Class) *AbsObj { return r.classOb[cl] }
 
-// SiteObj returns the abstract object of an allocation instruction.
-func (r *Result) SiteObj(in *ir.Instr) *AbsObj { return r.siteObj[in] }
-
 // Objects returns all abstract objects.
 func (r *Result) Objects() []*AbsObj { return r.objs }
 

@@ -1,242 +1,23 @@
-// Package postmortem implements the paper's §1 remark that the
-// approach "could be easily modified to perform post-mortem datarace
-// detection by creating a log of access events during program
-// execution and performing the final datarace detection phase
-// off-line", and §2.6's note that the expensive reconstruction of
+// Package postmortem implements the off-line half of the paper's §1
+// remark that the approach "could be easily modified to perform
+// post-mortem datarace detection by creating a log of access events
+// during program execution and performing the final datarace detection
+// phase off-line", and §2.6's note that the expensive reconstruction of
 // FullRace can run during replay.
 //
-// A Recorder is an event.Sink that serializes the runtime event stream
-// to an io.Writer in a compact line format. Replay feeds a recorded
-// log back into any event.Sink (e.g. the full detector, or a baseline)
-// off-line, and FullRace reconstructs every racing access pair — the
-// O(N²) analysis the on-the-fly detector deliberately avoids
-// (§2.5) — from the log.
+// The log of access events is the binary .mjtrace (internal/rt/trace);
+// replaying it through a detector is core.ReplayTrace. This package
+// adds the one analysis that exists only off-line: FullRace, every
+// racing access pair — the O(N²) set the on-the-fly detector
+// deliberately summarizes to one report per location (§2.5).
 package postmortem
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 
-	"racedet/internal/lang/token"
 	"racedet/internal/rt/event"
+	"racedet/internal/rt/trace"
 )
-
-// Recorder logs every runtime event. The format is line-oriented and
-// human-readable:
-//
-//	S <child> <parent>           thread started
-//	F <thread>                   thread finished
-//	J <joiner> <joinee>          join completed
-//	+ <thread> <lock> <depth>    monitor enter
-//	- <thread> <lock> <depth>    monitor exit
-//	A <thread> <obj> <slot> <R|W> <field> <pos>
-type Recorder struct {
-	w   *bufio.Writer
-	err error
-	n   uint64
-}
-
-var _ event.Sink = (*Recorder)(nil)
-
-// NewRecorder wraps w; call Flush when the execution ends.
-func NewRecorder(w io.Writer) *Recorder {
-	return &Recorder{w: bufio.NewWriter(w)}
-}
-
-// Flush drains buffered log lines and reports any write error.
-func (r *Recorder) Flush() error {
-	if err := r.w.Flush(); err != nil && r.err == nil {
-		r.err = err
-	}
-	return r.err
-}
-
-// Events returns the number of events recorded.
-func (r *Recorder) Events() uint64 { return r.n }
-
-func (r *Recorder) emit(format string, args ...interface{}) {
-	if r.err != nil {
-		return
-	}
-	r.n++
-	if _, err := fmt.Fprintf(r.w, format+"\n", args...); err != nil {
-		r.err = err
-	}
-}
-
-// ThreadStarted implements event.Sink.
-func (r *Recorder) ThreadStarted(child, parent event.ThreadID) {
-	r.emit("S %d %d", child, parent)
-}
-
-// ThreadFinished implements event.Sink.
-func (r *Recorder) ThreadFinished(t event.ThreadID) { r.emit("F %d", t) }
-
-// Joined implements event.Sink.
-func (r *Recorder) Joined(joiner, joinee event.ThreadID) { r.emit("J %d %d", joiner, joinee) }
-
-// MonitorEnter implements event.Sink.
-func (r *Recorder) MonitorEnter(t event.ThreadID, lock event.ObjID, depth int) {
-	r.emit("+ %d %d %d", t, lock, depth)
-}
-
-// MonitorExit implements event.Sink.
-func (r *Recorder) MonitorExit(t event.ThreadID, lock event.ObjID, depth int) {
-	r.emit("- %d %d %d", t, lock, depth)
-}
-
-// Access implements event.Sink.
-func (r *Recorder) Access(a event.Access) {
-	k := "R"
-	if a.Kind == event.Write {
-		k = "W"
-	}
-	field := a.FieldName
-	if field == "" {
-		field = "-"
-	}
-	pos := a.Pos.String()
-	r.emit("A %d %d %d %s %s %s", a.Thread, a.Loc.Obj, a.Loc.Slot, k, field, pos)
-}
-
-// ---------------------------------------------------------------------------
-// Replay
-
-// Replay parses a recorded log and feeds every event into sink,
-// returning the number of events replayed.
-func Replay(r io.Reader, sink event.Sink) (uint64, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	var n uint64
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		bad := func() (uint64, error) {
-			return n, fmt.Errorf("postmortem: malformed log line %d: %q", line, text)
-		}
-		atoi := func(s string) (int64, bool) {
-			v, err := strconv.ParseInt(s, 10, 64)
-			return v, err == nil
-		}
-		switch fields[0] {
-		case "S":
-			if len(fields) != 3 {
-				return bad()
-			}
-			c, ok1 := atoi(fields[1])
-			p, ok2 := atoi(fields[2])
-			if !ok1 || !ok2 {
-				return bad()
-			}
-			sink.ThreadStarted(event.ThreadID(c), event.ThreadID(p))
-		case "F":
-			if len(fields) != 2 {
-				return bad()
-			}
-			t, ok := atoi(fields[1])
-			if !ok {
-				return bad()
-			}
-			sink.ThreadFinished(event.ThreadID(t))
-		case "J":
-			if len(fields) != 3 {
-				return bad()
-			}
-			a, ok1 := atoi(fields[1])
-			b, ok2 := atoi(fields[2])
-			if !ok1 || !ok2 {
-				return bad()
-			}
-			sink.Joined(event.ThreadID(a), event.ThreadID(b))
-		case "+", "-":
-			if len(fields) != 4 {
-				return bad()
-			}
-			t, ok1 := atoi(fields[1])
-			l, ok2 := atoi(fields[2])
-			d, ok3 := atoi(fields[3])
-			if !ok1 || !ok2 || !ok3 {
-				return bad()
-			}
-			if fields[0] == "+" {
-				sink.MonitorEnter(event.ThreadID(t), event.ObjID(l), int(d))
-			} else {
-				sink.MonitorExit(event.ThreadID(t), event.ObjID(l), int(d))
-			}
-		case "A":
-			if len(fields) < 6 {
-				return bad()
-			}
-			t, ok1 := atoi(fields[1])
-			o, ok2 := atoi(fields[2])
-			s, ok3 := atoi(fields[3])
-			if !ok1 || !ok2 || !ok3 {
-				return bad()
-			}
-			kind := event.Read
-			switch fields[4] {
-			case "R":
-			case "W":
-				kind = event.Write
-			default:
-				return bad()
-			}
-			fieldName := fields[5]
-			if fieldName == "-" {
-				fieldName = ""
-			}
-			var pos token.Pos
-			if len(fields) >= 7 {
-				pos = parsePos(fields[6])
-			}
-			sink.Access(event.Access{
-				Loc:       event.Loc{Obj: event.ObjID(o), Slot: int32(s)},
-				Thread:    event.ThreadID(t),
-				Kind:      kind,
-				FieldName: fieldName,
-				Pos:       pos,
-			})
-		default:
-			return bad()
-		}
-		n++
-	}
-	return n, sc.Err()
-}
-
-// parsePos parses file:line:col (best effort; "-" yields a zero Pos).
-func parsePos(s string) token.Pos {
-	if s == "-" {
-		return token.Pos{}
-	}
-	parts := strings.Split(s, ":")
-	if len(parts) < 2 {
-		return token.Pos{}
-	}
-	col := 0
-	line := 0
-	var file string
-	if len(parts) >= 3 {
-		file = strings.Join(parts[:len(parts)-2], ":")
-		line, _ = strconv.Atoi(parts[len(parts)-2])
-		col, _ = strconv.Atoi(parts[len(parts)-1])
-	} else {
-		line, _ = strconv.Atoi(parts[0])
-		col, _ = strconv.Atoi(parts[1])
-	}
-	return token.Pos{File: file, Line: int32(line), Col: int32(col)}
-}
-
-// ---------------------------------------------------------------------------
-// FullRace reconstruction
 
 // RacePair is one element of FullRace: two accesses that satisfy
 // IsRace.
@@ -249,18 +30,18 @@ func (p RacePair) String() string {
 	return fmt.Sprintf("%s  <races with>  %s", p.First, p.Second)
 }
 
-// FullRace replays a recorded log and reconstructs every racing access
-// pair, the O(N²) set the on-the-fly detector deliberately summarizes
-// to one report per location (§2.5). Locksets are reconstructed from
-// the recorded monitor and lifecycle events, including the join
-// pseudolocks. maxPairs bounds the output (0 = unlimited).
-func FullRace(r io.Reader, maxPairs int) ([]RacePair, error) {
+// FullRace replays a recorded trace and reconstructs every racing
+// access pair under the raw §2.4 definition. Locksets are reconstructed
+// from the recorded monitor and lifecycle events, including the join
+// pseudolocks. maxPairs bounds the output (0 = unlimited). A corrupt
+// segment fails with the trace's *trace.FormatError.
+func FullRace(tr *trace.Reader, maxPairs int) ([]RacePair, error) {
 	collector := &fullRaceSink{
 		locks:    event.NewLockTrackerInterned(event.NewInterner()),
 		history:  make(map[event.Loc][]event.Access),
 		maxPairs: maxPairs,
 	}
-	if _, err := Replay(r, collector); err != nil {
+	if _, err := tr.Replay(collector, 1); err != nil {
 		return nil, err
 	}
 	return collector.pairs, nil

@@ -1,11 +1,13 @@
 package postmortem
 
 import (
-	"strings"
+	"bytes"
 	"testing"
 
+	"racedet/internal/lang/token"
 	"racedet/internal/rt/detector"
 	"racedet/internal/rt/event"
+	"racedet/internal/rt/trace"
 )
 
 // drive sends a small scenario through a sink: main starts two
@@ -34,36 +36,21 @@ func drive(s event.Sink) {
 	s.Access(event.Access{Loc: safe, Thread: 0, Kind: event.Read, FieldName: "D.g"})
 }
 
-func record(t *testing.T) string {
+// record drives the scenario through a trace writer and opens the
+// finalized trace.
+func record(t *testing.T) *trace.Reader {
 	t.Helper()
-	var buf strings.Builder
-	rec := NewRecorder(&buf)
-	drive(rec)
-	if err := rec.Flush(); err != nil {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	drive(w)
+	if err := w.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.String()
-}
-
-func TestRecordReplayRoundTrip(t *testing.T) {
-	log := record(t)
-
-	// Replaying into a second recorder reproduces the log verbatim.
-	var buf2 strings.Builder
-	rec2 := NewRecorder(&buf2)
-	n, err := Replay(strings.NewReader(log), rec2)
+	tr, err := trace.NewReader(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if buf2.String() != log {
-		t.Fatalf("round trip differs:\n--- original ---\n%s--- replayed ---\n%s", log, buf2.String())
-	}
-	if n == 0 {
-		t.Fatal("no events replayed")
-	}
+	return tr
 }
 
 func TestOfflineDetectionMatchesOnline(t *testing.T) {
@@ -72,9 +59,8 @@ func TestOfflineDetectionMatchesOnline(t *testing.T) {
 	drive(online)
 
 	// Off-line: record, then replay into a fresh detector.
-	log := record(t)
 	offline := detector.New(detector.Options{})
-	if _, err := Replay(strings.NewReader(log), offline); err != nil {
+	if _, err := record(t).Replay(offline, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -93,13 +79,12 @@ func TestOfflineDetectionMatchesOnline(t *testing.T) {
 }
 
 func TestFullRaceReconstruction(t *testing.T) {
-	log := record(t)
-	pairs, err := FullRace(strings.NewReader(log), 0)
+	pairs, err := FullRace(record(t), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The racy location sees writes by T0 (pre-start: races with both
-	// children? T0's write is before the children start, but the log
+	// children? T0's write is before the children start, but the trace
 	// has no ownership model — FullRace is the raw §2.4 definition
 	// with pseudolocks: T0 holds only S0, children hold S1/S2, so all
 	// three writes mutually race) → pairs: (T0,T1), (T0,T2), (T1,T2).
@@ -124,8 +109,7 @@ func TestFullRaceReconstruction(t *testing.T) {
 }
 
 func TestFullRaceMaxPairs(t *testing.T) {
-	log := record(t)
-	pairs, err := FullRace(strings.NewReader(log), 2)
+	pairs, err := FullRace(record(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,53 +118,32 @@ func TestFullRaceMaxPairs(t *testing.T) {
 	}
 }
 
-func TestReplayMalformedLines(t *testing.T) {
-	bad := []string{
-		"X 1 2",
-		"S 1",
-		"A 1 2",
-		"+ 1 2",
-		"A a b c R f -",
-		"A 1 2 3 Q f -",
-	}
-	for _, line := range bad {
-		if _, err := Replay(strings.NewReader(line+"\n"), event.NullSink{}); err == nil {
-			t.Errorf("no error for %q", line)
-		}
-	}
-	// Blank lines and comments are fine.
-	if _, err := Replay(strings.NewReader("\n# comment\nS 0 -1\n"), event.NullSink{}); err != nil {
-		t.Errorf("comment handling: %v", err)
-	}
-}
-
+// TestPosRoundTrip: the source positions a pair renders with are the
+// recorded ones, file and all.
 func TestPosRoundTrip(t *testing.T) {
-	var buf strings.Builder
-	rec := NewRecorder(&buf)
-	rec.ThreadStarted(0, event.NoThread)
-	rec.Access(event.Access{
-		Loc: event.Loc{Obj: 1, Slot: 0}, Thread: 0, Kind: event.Write,
-		FieldName: "A.f",
-		Pos:       parsePos("dir/prog.mj:12:5"),
-	})
-	rec.Flush()
-
-	got := []event.Access{}
-	sink := &captureSink{accesses: &got}
-	if _, err := Replay(strings.NewReader(buf.String()), sink); err != nil {
+	pos := token.Pos{File: "dir/prog.mj", Line: 12, Col: 5}
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	w.ThreadStarted(0, event.NoThread)
+	w.ThreadStarted(1, 0)
+	loc := event.Loc{Obj: 1, Slot: 0}
+	w.Access(event.Access{Loc: loc, Thread: 0, Kind: event.Write, FieldName: "A.f", Pos: pos})
+	w.Access(event.Access{Loc: loc, Thread: 1, Kind: event.Write, FieldName: "A.f", Pos: pos})
+	if err := w.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("accesses = %d", len(got))
+	tr, err := trace.NewReader(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got[0].Pos.File != "dir/prog.mj" || got[0].Pos.Line != 12 || got[0].Pos.Col != 5 {
-		t.Errorf("pos = %+v", got[0].Pos)
+	pairs, err := FullRace(tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pairs) != 1 {
+		t.Fatalf("pairs = %v, want 1", pairs)
+	}
+	if pairs[0].First.Pos != pos || pairs[0].Second.Pos != pos {
+		t.Errorf("pair positions = %+v / %+v, want %+v", pairs[0].First.Pos, pairs[0].Second.Pos, pos)
 	}
 }
-
-type captureSink struct {
-	event.NullSink
-	accesses *[]event.Access
-}
-
-func (c *captureSink) Access(a event.Access) { *c.accesses = append(*c.accesses, a) }

@@ -125,16 +125,13 @@ type Options struct {
 	// Stdout receives the program's print output (nil = captured
 	// only in Result.Output).
 	Stdout io.Writer
-	// RecordTo, when non-nil, streams the runtime event log to this
-	// writer for post-mortem analysis (replay with Replay, or
-	// reconstruct all racing pairs with FullRace). See §1/§2.6 of the
-	// paper.
-	RecordTo io.Writer
-	// TraceTo, when non-nil, additionally records the run as a compact
-	// binary event trace (.mjtrace): delta-encoded, lockset-interned,
+	// TraceTo, when non-nil, records the run's event log for
+	// post-mortem analysis (§1/§2.6 of the paper) as a compact binary
+	// event trace (.mjtrace): delta-encoded, lockset-interned,
 	// segment-indexed. Replay it into any detector configuration with
-	// ReplayTrace — record once, analyze many. The trace is finalized
-	// even when the run fails, so partial traces stay valid.
+	// ReplayTrace — record once, analyze many — or reconstruct all
+	// racing pairs with FullRace. The trace is finalized even when the
+	// run fails, so partial traces stay valid.
 	TraceTo io.Writer
 
 	// RecordSchedule captures the scheduler's decision sequence in
@@ -226,7 +223,6 @@ func (o Options) config() core.Config {
 	cfg.Quantum = o.Quantum
 	cfg.MaxSteps = o.MaxSteps
 	cfg.Out = o.Stdout
-	cfg.RecordTo = o.RecordTo
 	cfg.TraceTo = o.TraceTo
 	cfg.RecordSchedule = o.RecordSchedule
 	cfg.Timeout = o.Timeout
@@ -513,18 +509,6 @@ func (c *Compiled) RunSeed(seed int64) (*Result, error) {
 	return c.Run()
 }
 
-// Replay performs post-mortem detection on an event log previously
-// recorded via Options.RecordTo: the detector configured by opts sees
-// exactly the event stream of the original run, so its reports match
-// the on-the-fly ones (§1).
-func Replay(r io.Reader, opts Options) (*Result, error) {
-	res, err := core.ReplayLog(r, opts.config())
-	if err != nil {
-		return nil, err
-	}
-	return convert(res), nil
-}
-
 // ReplayTrace performs offline detection on a binary event trace
 // previously recorded via Options.TraceTo: the detector stack
 // configured by opts (any ablation) sees exactly
@@ -571,12 +555,21 @@ type RacePair struct {
 	Second string
 }
 
-// FullRace reconstructs every racing access pair from a recorded event
-// log — the O(N²) analysis the on-the-fly detector deliberately
-// summarizes to one report per memory location (§2.5, §2.6). maxPairs
-// bounds the output (0 = unlimited).
+// FullRace reconstructs every racing access pair from a binary event
+// trace recorded via Options.TraceTo — the O(N²) analysis the
+// on-the-fly detector deliberately summarizes to one report per memory
+// location (§2.5, §2.6). maxPairs bounds the output (0 = unlimited).
+// Input that is not a complete trace fails with a *trace.FormatError.
 func FullRace(r io.Reader, maxPairs int) ([]RacePair, error) {
-	pairs, err := postmortem.FullRace(r, maxPairs)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	tr, err := trace.NewReader(data)
+	if err != nil {
+		return nil, err
+	}
+	pairs, err := postmortem.FullRace(tr, maxPairs)
 	if err != nil {
 		return nil, err
 	}
@@ -658,8 +651,9 @@ func raceFromReport(r detector.Report) Race {
 type FuzzOptions struct {
 	// Options configures each individual run (detector, pipeline
 	// ablations, quantum, timeout, livelock window, memory bounds).
-	// Seed, Stdout, RecordTo, and the schedule fields are ignored: the
-	// harness owns the seed sweep and records every schedule itself.
+	// Seed, Stdout, TraceTo, and the schedule fields are ignored: the
+	// harness owns the seed sweep and records every schedule itself,
+	// and its parallel runs cannot share one trace writer.
 	Options Options
 
 	// Seeds lists the scheduler seeds to explore; when nil, seeds
@@ -748,7 +742,7 @@ func (r *FuzzResult) filter(stable bool) []FuzzFinding {
 func Fuzz(file, src string, opts FuzzOptions) (*FuzzResult, error) {
 	base := opts.Options
 	base.Stdout = nil
-	base.RecordTo = nil
+	base.TraceTo = nil
 	base.ReplaySchedule = nil
 	sum, err := harness.ExploreSource(file, src, harness.Options{
 		Config:         base.config(),

@@ -67,6 +67,28 @@ func TestFuzzClassifiesStableRace(t *testing.T) {
 	}
 }
 
+// TestFuzzIgnoresTraceTo: the sweep's runs execute in parallel, so a
+// TraceTo writer in the per-run Options must be dropped, not shared —
+// a shared one is a data race (go test -race flags it) and an
+// interleaved, unreadable trace.
+func TestFuzzIgnoresTraceTo(t *testing.T) {
+	var buf bytes.Buffer
+	res, err := Fuzz("racy.mj", racyProgram, FuzzOptions{
+		Options: Options{TraceTo: &buf},
+		Count:   8,
+		Workers: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 8 || len(res.Findings) != 1 {
+		t.Fatalf("completed=%d findings=%+v", res.Completed, res.Findings)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("Fuzz wrote %d trace bytes into Options.TraceTo", buf.Len())
+	}
+}
+
 func TestFuzzFindsScheduleDependentRace(t *testing.T) {
 	// Sanity: the fixed schedule misses it.
 	base, err := Detect("prog.mj", schedDepProgram, Options{})
