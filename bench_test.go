@@ -82,24 +82,6 @@ func BenchmarkTable2(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched front end: the same Full-configuration runs with per-thread
-// event batching. Compare against BenchmarkTable2/<name>/Full; the
-// differential test in internal/corpus pins the reports as identical.
-
-func BenchmarkBatched(b *testing.B) {
-	cfg := core.Full()
-	cfg.BatchSize = 64
-	for _, bm := range bench.All() {
-		if !bm.CPUBound {
-			continue
-		}
-		b.Run(bm.Name+"/Batch64", func(b *testing.B) {
-			runPipeline(b, bm.Name, cfg)
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Table 3: accuracy variants (the run must also produce the counts; we
 // benchmark the detection cost of each variant on every benchmark).
 

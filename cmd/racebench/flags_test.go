@@ -24,7 +24,6 @@ func TestBenchFlagValidation(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"batch negative", []string{"-batch", "-64"}, "-batch must be >= 1"},
 		{"runs zero", []string{"-runs", "0"}, "-runs must be >= 1"},
 		{"benchreps zero", []string{"-benchreps", "0"}, "-benchreps must be >= 1"},
 		{"unknown flag", []string{"-no-such-flag"}, "flag"},

@@ -26,7 +26,6 @@ func main() {
 		runs       = flag.Int("runs", 5, "Table 2: runs per configuration (best is reported, as in the paper)")
 		compare    = flag.Bool("compare", false, "also print the detector comparison (§8.3/§9)")
 		jsonPath   = flag.String("json", "", "write machine-readable results (ns/op, allocs/op per benchmark and config) to this file and skip the tables")
-		batchSize  = flag.Int("batch", 64, "access batch size of the batched configurations in the -json matrix")
 		benchReps  = flag.Int("benchreps", 1, "measurement reps per -json cell, interleaved across configurations; the report carries median ns/op with min/max spread")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -45,10 +44,6 @@ func main() {
 			return
 		}
 		switch f.Name {
-		case "batch":
-			if *batchSize <= 0 {
-				flagErr = fmt.Errorf("-batch must be >= 1 (got %d)", *batchSize)
-			}
 		case "runs":
 			if *runs <= 0 {
 				flagErr = fmt.Errorf("-runs must be >= 1 (got %d)", *runs)
@@ -82,7 +77,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		jopts := bench.JSONOptions{BatchSize: *batchSize, BenchReps: *benchReps}
+		jopts := bench.JSONOptions{BenchReps: *benchReps}
 		if err := bench.WriteJSON(f, jopts); err != nil {
 			f.Close()
 			fail(err)

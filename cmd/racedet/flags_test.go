@@ -25,10 +25,9 @@ func TestCLIFlagValidation(t *testing.T) {
 		args []string
 		want string // substring required on stderr
 	}{
-		{"batch zero", []string{"-batch", "0", prog}, "-batch must be >= 1"},
-		{"batch negative", []string{"-batch", "-8", prog}, "-batch must be >= 1"},
 		{"unknown flag", []string{"-no-such-flag", prog}, "flag"},
 		{"shards flag removed", []string{"-shards", "2", prog}, "flag provided but not defined"},
+		{"batch flag removed", []string{"-batch", "64", prog}, "flag provided but not defined: -batch"},
 		{"record and replay-trace", []string{"-record", "t.mjtrace", "-replay-trace", "t.mjtrace"}, "-record and -replay-trace are mutually exclusive"},
 		{"replay flag removed", []string{"-replay", "t.log", prog}, "flag provided but not defined"},
 		{"fuzz and replay-trace", []string{"-fuzz", "4", "-replay-trace", "t.mjtrace"}, "-fuzz explores live schedules"},
@@ -45,6 +44,32 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"sample-budget over one", []string{"-sample-budget", "1.5", prog}, "-sample-budget must be in (0, 1]"},
 		{"sampling without ownership", []string{"-sample-k", "4", "-noownership", prog}, "require the ownership filter"},
 		{"sampling and ablate", []string{"-sample-k", "4", "-replay-trace", "t.mjtrace", "-ablate", "Full"}, "cannot be combined with -sample-k"},
+		{"replay-trace live-only flag", []string{"-replay-trace", "t.mjtrace", "-nocache", "-seed", "5"}, "-seed does not apply to -replay-trace"},
+		{"fullrace detector flag", []string{"-replay-trace", "t.mjtrace", "-fullrace", "-q", "-nocache"}, "-nocache does not apply to -replay-trace -fullrace"},
+	}
+	// Each replay mode rejects, by name, every explicit flag it does not
+	// honour instead of ignoring it.
+	for _, args := range [][]string{
+		{"-nostatic"}, {"-nodominators"}, {"-nopeeling"}, {"-nointerproc"},
+		{"-pts-workers", "2"}, {"-factcache", "fc"},
+		{"-seed", "5"}, {"-quantum", "7"}, {"-maxsteps", "1000"}, {"-timeout", "1s"}, {"-livelock", "500"},
+		{"-schedule-out", "s.mjsched"}, {"-replay-schedule", "s.mjsched"}, {"-explain-static"},
+		{"-workers", "2"}, {"-trace-dir", "d"}, {"-stats"},
+	} {
+		cases = append(cases, struct {
+			name string
+			args []string
+			want string
+		}{"replay-trace " + args[0], append([]string{"-replay-trace", "t.mjtrace"}, args...), args[0] + " does not apply to -replay-trace"})
+	}
+	for _, args := range [][]string{
+		{"-stats"}, {"-nocache"}, {"-detector", "eraser"}, {"-replay-workers", "2"},
+	} {
+		cases = append(cases, struct {
+			name string
+			args []string
+			want string
+		}{"fullrace " + args[0], append([]string{"-replay-trace", "t.mjtrace", "-fullrace"}, args...), args[0] + " does not apply to -replay-trace -fullrace"})
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -77,8 +102,8 @@ func TestCLIFlagValidation(t *testing.T) {
 }
 
 // TestCLISamplingSmoke runs adaptive throttling end to end: the racy
-// program is still reported with sampling on (unbatched and batched),
-// and -stats surfaces the sampling counters.
+// program is still reported with sampling on, and -stats surfaces the
+// sampling counters.
 func TestCLISamplingSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
@@ -89,7 +114,6 @@ func TestCLISamplingSmoke(t *testing.T) {
 	for _, args := range [][]string{
 		{"-q", "-stats", "-sample-k", "4", prog},
 		{"-q", "-stats", "-sample-budget", "0.25", prog},
-		{"-q", "-stats", "-sample-k", "4", "-batch", "64", prog},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != exitRaces {

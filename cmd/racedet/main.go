@@ -19,11 +19,13 @@
 // Record once, analyze many: -record run.mjtrace captures the run as a
 // compact binary event trace. The trace replays offline into any
 // detector configuration without re-executing the program:
-// -replay-trace run.mjtrace honors the usual ablation flags (-nocache,
-// -batch, ...), -ablate "Full,NoCache,Eraser" sweeps several named
-// configurations over one trace in a single process, and -fullrace
-// reconstructs every racing access pair instead (§2.5's FullRace).
-// -replay-workers bounds the parallel segment decoders.
+// -replay-trace run.mjtrace honors the detector flags (-nocache,
+// -detector, -sample-k, ...), -ablate "Full,NoCache,Eraser" sweeps
+// several named configurations over one trace in a single process, and
+// -fullrace reconstructs every racing access pair instead (§2.5's
+// FullRace). -replay-workers bounds the parallel segment decoders.
+// A replay runs no program, so the compile, schedule and watchdog
+// flags are usage errors there, and -fullrace takes no detector flag.
 //
 // Exit codes:
 //
@@ -89,7 +91,6 @@ func main() {
 		maxTrie    = flag.Int("max-trie-nodes", 0, "bound trie memory: collapse per-location history over this many nodes (0 = unbounded; may over-report)")
 		maxCacheT  = flag.Int("max-cache-threads", 0, "bound cache memory: keep at most N per-thread caches, evicting LRU (0 = unbounded)")
 		maxOwner   = flag.Int("max-owner-locations", 0, "bound ownership memory: locations past N are born shared (0 = unbounded; may over-report)")
-		batchSize  = flag.Int("batch", 0, "buffer up to N access events per thread before calling the detector (0 = unbatched)")
 		sampleK    = flag.Int("sample-k", 0, "adaptive throttling: demote an access site after K consecutive clean observations (0 = off; see docs/performance.md)")
 		sampleBud  = flag.Float64("sample-budget", 0, "adaptive throttling: target shipped-events ratio in (0,1]; the throttle adapts K per window (implies -sample-k 16 when set alone)")
 		priorsMode = flag.String("priors", "", `seed sampling with static lock-discipline priors: "on" pins unguarded/guarded-inconsistent sites armed and demotes guarded-consistent sites early, "invert" swaps the two (ablation), "off"/"" ignores the tiers; requires -sample-k/-sample-budget`)
@@ -112,17 +113,25 @@ func main() {
 	}
 	// Validate flag values that parse fine but make no sense. Only
 	// explicitly-passed flags are checked (flag.Visit), so the zero
-	// defaults — which mean "unbatched" / "off" — stay legal.
+	// defaults — which mean "off" — stay legal. The same walk notes the
+	// first explicit flag the selected replay mode does not honour.
+	replayMode, allowed := "", replayFlags
+	if *replayTracePath != "" {
+		replayMode = "-replay-trace"
+		if *fullRace {
+			replayMode, allowed = "-replay-trace -fullrace", fullRaceFlags
+		}
+	}
 	var flagErr error
+	stray := ""
 	flag.Visit(func(f *flag.Flag) {
+		if replayMode != "" && stray == "" && !allowed[f.Name] {
+			stray = f.Name
+		}
 		if flagErr != nil {
 			return
 		}
 		switch f.Name {
-		case "batch":
-			if *batchSize <= 0 {
-				flagErr = fmt.Errorf("-batch must be >= 1 (got %d); omit the flag for unbatched delivery", *batchSize)
-			}
 		case "replay-workers":
 			if *replayWorkers <= 0 {
 				flagErr = fmt.Errorf("-replay-workers must be >= 1 (got %d); omit the flag for one per CPU", *replayWorkers)
@@ -190,6 +199,9 @@ func main() {
 	if flagErr == nil && *ablateList != "" && samplingOn {
 		flagErr = fmt.Errorf("-ablate sweeps named configurations and cannot be combined with -sample-k/-sample-budget; replay the trace with the sampling flags and no -ablate instead")
 	}
+	if flagErr == nil && stray != "" {
+		flagErr = fmt.Errorf("-%s does not apply to %s", stray, replayMode)
+	}
 	if flagErr != nil {
 		fmt.Fprintln(os.Stderr, "racedet:", flagErr)
 		os.Exit(exitInternal)
@@ -226,7 +238,6 @@ func main() {
 		MaxTrieNodes:           *maxTrie,
 		MaxCacheThreads:        *maxCacheT,
 		MaxOwnerLocations:      *maxOwner,
-		BatchSize:              *batchSize,
 		SampleK:                *sampleK,
 		SampleBudget:           *sampleBud,
 		Priors:                 *priorsMode,
@@ -409,6 +420,29 @@ func main() {
 	exit(exitClean)
 }
 
+// replayFlags are the flags a -replay-trace detection pass honours:
+// the detector and its filters, the memory bounds, the extra analyses,
+// and the replay's own options (-fullrace here can only be false). A
+// replay runs no program, so compile, schedule and watchdog flags have
+// nothing to act on. -record, -fuzz, -priors and -static-* are
+// rejected earlier with their own messages.
+var replayFlags = flagSet("replay-trace", "fullrace", "ablate", "replay-workers", "detector",
+	"nocache", "noownership", "nopseudolocks", "fieldsmerged", "all",
+	"deadlock", "immutability", "max-trie-nodes", "max-cache-threads",
+	"max-owner-locations", "sample-k", "sample-budget", "q", "cpuprofile", "memprofile")
+
+// fullRaceFlags are the flags -replay-trace -fullrace honours: FullRace
+// reconstructs pairs under the raw race definition with no detector.
+var fullRaceFlags = flagSet("replay-trace", "fullrace", "q", "cpuprofile", "memprofile")
+
+func flagSet(names ...string) map[string]bool {
+	m := make(map[string]bool, len(names))
+	for _, n := range names {
+		m[n] = true
+	}
+	return m
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "racedet:", err)
 	os.Exit(exitInternal)
@@ -566,6 +600,12 @@ func replayTrace(path string, opts racedet.Options, ablate string, workers int) 
 			fmt.Println(r)
 		}
 		for _, r := range res.BaselineReports {
+			fmt.Println(r)
+		}
+		for _, r := range res.PotentialDeadlocks {
+			fmt.Println(r)
+		}
+		for _, r := range res.Immutability {
 			fmt.Println(r)
 		}
 		n := res.RacyObjects

@@ -90,12 +90,9 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 }
 
-func TestCLIDeadlockFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binary")
-	}
-	bin := buildCLI(t)
-	prog := writeProg(t, `
+// lockCycleProg takes two locks in opposite orders in two threads that
+// never overlap: a potential deadlock that never happens.
+const lockCycleProg = `
 class Lock { int pad; }
 class W extends Thread {
     Lock p; Lock q; int n;
@@ -114,7 +111,14 @@ class Main {
         w2.start(); w2.join();
         print(w1.n + w2.n);
     }
-}`)
+}`
+
+func TestCLIDeadlockFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildCLI(t)
+	prog := writeProg(t, lockCycleProg)
 	out, _ := exec.Command(bin, "-q", "-deadlock", prog).CombinedOutput()
 	if !strings.Contains(string(out), "POTENTIAL DEADLOCK") {
 		t.Errorf("deadlock flag broken:\n%s", out)

@@ -93,6 +93,71 @@ func TestCLITraceRoundTrip(t *testing.T) {
 	}
 }
 
+// immutProg publishes Cfg.k before the workers start and then only
+// reads it, while the workers write Data.f: one observed-immutable and
+// one mutable shared field.
+const immutProg = `
+class Cfg { int k; }
+class Data { int f; }
+class Worker extends Thread {
+    Data d; Cfg c;
+    Worker(Data d0, Cfg c0) { d = d0; c = c0; }
+    void run() { d.f = d.f + c.k; }
+}
+class Main {
+    static void main() {
+        Cfg g = new Cfg();
+        g.k = 2;
+        Data x = new Data();
+        Worker a = new Worker(x, g);
+        Worker b = new Worker(x, g);
+        a.start(); b.start(); a.join(); b.join();
+        print(x.f);
+    }
+}`
+
+// TestCLIReplayExtraAnalyses: -replay-trace with -deadlock and
+// -immutability prints the same POTENTIAL DEADLOCK and
+// OBSERVED-IMMUTABLE/MUTABLE-SHARED lines as the live run at the
+// recording seed.
+func TestCLIReplayExtraAnalyses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildCLI(t)
+	analysisLines := func(out string) []string {
+		var keep []string
+		for _, line := range strings.Split(out, "\n") {
+			for _, p := range []string{"POTENTIAL DEADLOCK", "OBSERVED-IMMUTABLE", "MUTABLE-SHARED"} {
+				if strings.HasPrefix(line, p) {
+					keep = append(keep, line)
+				}
+			}
+		}
+		return keep
+	}
+	for name, src := range map[string]string{"immut": immutProg, "lockcycle": lockCycleProg} {
+		prog := writeProg(t, src)
+		tracePath := filepath.Join(t.TempDir(), name+".mjtrace")
+		liveOut, liveCode := run(t, bin, "-q", "-seed", "3", "-deadlock", "-immutability", "-record", tracePath, prog)
+		if liveCode != exitClean {
+			t.Fatalf("%s: live run exit = %d\n%s", name, liveCode, liveOut)
+		}
+		want := analysisLines(liveOut)
+		if len(want) < 2 {
+			t.Fatalf("%s: live run printed too few analysis lines:\n%s", name, liveOut)
+		}
+		got, code := run(t, bin, "-replay-trace", tracePath, "-deadlock", "-immutability")
+		if code != exitClean {
+			t.Fatalf("%s: replay exit = %d\n%s", name, code, got)
+		}
+		if g := analysisLines(got); strings.Join(g, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s: replay analysis lines differ from live:\n--- live\n%s\n--- replay\n%s",
+				name, strings.Join(want, "\n"), strings.Join(g, "\n"))
+		}
+	}
+}
+
 // TestCLIFullRace: -record writes a trace whatever the file's
 // extension, and -replay-trace -fullrace reconstructs the racing pairs
 // from it — printed pair by pair, exit 1 when any exist. A text event

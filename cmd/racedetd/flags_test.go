@@ -33,6 +33,7 @@ func TestFlagValidation(t *testing.T) {
 		want string // stderr fragment
 	}{
 		{"unknown flag", []string{"-definitely-not-a-flag"}, "flag provided but not defined"},
+		{"batch flag removed", []string{"-batch", "64"}, "flag provided but not defined: -batch"},
 		{"bad inject spec", []string{"-inject", "session-panic:job=banana"}, "-inject"},
 		{"unknown fault kind", []string{"-inject", "meteor-strike:shard=1"}, "-inject"},
 		{"detector worker fault", []string{"-inject", "panic:shard=1,event=5"}, "-inject"},

@@ -59,7 +59,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		factDir  = fs.String("factcache", "", "shared fact cache directory for warm compiles across sessions")
 		inject   = fs.String("inject", "", "deterministic fault plan (testing), e.g. 'session-panic:job=2,times=1'")
 		drainTO  = fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on SIGTERM before counting them aborted")
-		batch    = fs.Int("batch", 0, "per-session event batch size (0 = default)")
 		maxTrace = fs.Int("max-trace-bytes", 0, "max uploaded trace size for replay jobs (0 = default 8MiB, negative = request-body limit only)")
 		sampleK  = fs.Int("sample-k", 0, "per-session adaptive throttling: demote an access site after K clean observations (0 = off; jobs may override)")
 		sampleB  = fs.Float64("sample-budget", 0, "per-session adaptive throttling: target shipped-events ratio in (0,1] (0 = off; jobs may override)")
@@ -115,7 +114,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		RetryBudget:    *retries,
 		RetryBackoff:   *backoff,
 		FactCacheDir:   *factDir,
-		BatchSize:      *batch,
 		MaxTraceBytes:  *maxTrace,
 		SampleK:        *sampleK,
 		SampleBudget:   *sampleB,

@@ -18,7 +18,6 @@ import (
 type JSONResult struct {
 	Benchmark string `json:"benchmark"`
 	Config    string `json:"config"`
-	BatchSize int    `json:"batch_size,omitempty"`
 	// NsPerOp is the median over Reps independent measurements (the
 	// reps are interleaved across configurations so load drift on the
 	// host hits every configuration equally); NsMin/NsMax give the
@@ -92,10 +91,9 @@ func ReadJSON(r io.Reader) (*JSONReport, error) {
 	return &rep, nil
 }
 
-// JSONOptions parameterizes the measured matrix. The zero value
-// selects the defaults (batch 64, one measurement rep).
+// JSONOptions parameterizes the measurement. The zero value selects
+// one measurement rep.
 type JSONOptions struct {
-	BatchSize int
 	// BenchReps is how many times each (benchmark, config) cell is
 	// measured. The reps are interleaved — every cell is measured once
 	// before any cell is measured twice — so slow phases of a noisy
@@ -105,9 +103,6 @@ type JSONOptions struct {
 }
 
 func (o JSONOptions) withDefaults() JSONOptions {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 64
-	}
 	if o.BenchReps <= 0 {
 		o.BenchReps = 1
 	}
@@ -115,15 +110,12 @@ func (o JSONOptions) withDefaults() JSONOptions {
 }
 
 // jsonConfigs is the measured matrix: the paper's Table 2 ablations
-// plus the batched front end and the sampling sweep.
-func jsonConfigs(o JSONOptions) []struct {
+// plus the sampling sweep.
+func jsonConfigs() []struct {
 	Name string
 	Cfg  core.Config
 } {
-	o = o.withDefaults()
 	configs := Table2Configs()
-	batched := core.Full()
-	batched.BatchSize = o.BatchSize
 	sampled := func(k int, budget float64) core.Config {
 		c := core.Full()
 		c.SampleK = k
@@ -145,7 +137,6 @@ func jsonConfigs(o JSONOptions) []struct {
 		}{name, cfg}
 	}
 	return append(configs,
-		add(fmt.Sprintf("FullBatched%d", o.BatchSize), batched),
 		// The throttling sweep: fixed K at three demotion speeds plus
 		// the adaptive controller.
 		add("FullSampled4", sampled(4, 0)),
@@ -281,7 +272,7 @@ func WriteJSON(w io.Writer, opts JSONOptions) error {
 	o := opts.withDefaults()
 	var cells []*jsonCell
 	for _, b := range All() {
-		for _, c := range jsonConfigs(opts) {
+		for _, c := range jsonConfigs() {
 			pipe, err := core.Compile(b.Name+".mj", b.Source(), c.Cfg)
 			if err != nil {
 				return fmt.Errorf("bench %s/%s: %w", b.Name, c.Name, err)
@@ -313,7 +304,6 @@ func WriteJSON(w io.Writer, opts JSONOptions) error {
 		r := JSONResult{
 			Benchmark:        cl.bench,
 			Config:           cl.cfgName,
-			BatchSize:        cl.cfg.BatchSize,
 			NsPerOp:          median(cl.ns),
 			AllocsPerOp:      median(cl.allocs),
 			BytesPerOp:       median(cl.bytes),
@@ -344,7 +334,6 @@ func WriteJSON(w io.Writer, opts JSONOptions) error {
 		r := JSONResult{
 			Benchmark:    cl.bench,
 			Config:       cl.cfgName,
-			BatchSize:    cl.cfg.BatchSize,
 			NsPerOp:      median(cl.ns),
 			AllocsPerOp:  median(cl.allocs),
 			BytesPerOp:   median(cl.bytes),

@@ -171,10 +171,8 @@ type Config struct {
 	// Shards is ignored: detection always runs serially. The field
 	// remains so that existing callers keep compiling.
 	Shards int
-	// BatchSize, when > 0, batches access events per thread: the
-	// interpreter buffers up to this many accesses before calling into
-	// the sink chain. Event order — and therefore detection — is
-	// unchanged; see interp.Options.BatchSize.
+	// BatchSize is ignored, like Shards: the interpreter delivers each
+	// access to the sink directly.
 	BatchSize int
 	// JournalCap is ignored, like Shards.
 	JournalCap int
@@ -797,7 +795,6 @@ func (p *Pipeline) RunConfig(cfg Config) (*RunResult, error) {
 		RecordSchedule: cfg.RecordSchedule,
 		Replay:         cfg.ReplaySchedule,
 		LivelockWindow: cfg.LivelockWindow,
-		BatchSize:      cfg.BatchSize,
 	}
 	if cfg.Timeout > 0 {
 		iopts.Deadline = time.Now().Add(cfg.Timeout)

@@ -273,7 +273,6 @@ func TestRandomProgramsSoundVsFullRace(t *testing.T) {
 	}{
 		{"full", Full()},
 		{"sampled", func(c Config) Config { c.SampleK, c.SampleBudget = 2, 0.25; return c }(Full())},
-		{"batch16", func(c Config) Config { c.BatchSize = 16; return c }(Full())},
 		{"noownership", Full().NoOwnership()},
 		{"nocache", Full().NoCache()},
 	}

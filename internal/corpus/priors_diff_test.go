@@ -10,7 +10,7 @@ import (
 
 // priorsVariants is the matrix the prior-seeded coverage contract is
 // checked over: the adaptive controller with discipline priors on,
-// unbatched and batched, plus the inverted-prior ablation, which deliberately points the
+// plus the inverted-prior ablation, which deliberately points the
 // budget at the wrong sites and must still keep stable races thanks to
 // the re-arm web.
 func priorsVariants(base core.Config) []struct {
@@ -32,9 +32,6 @@ func priorsVariants(base core.Config) []struct {
 	on.SampleBudget = 0.25
 	on.Priors = "on"
 	add("priors=on", on)
-	b := on
-	b.BatchSize = 16
-	add("priors=on,batch=16", b)
 	inv := on
 	inv.Priors = "invert"
 	add("priors=invert", inv)
@@ -45,8 +42,7 @@ func priorsVariants(base core.Config) []struct {
 // prior-seeded sampling: on every corpus program, under ten harness
 // seeds, every priors variant must report exactly the racy-field set
 // of the unsampled Full run — priors redirect the sampling budget,
-// they must never change the verdict. The batched variant must
-// additionally match the unbatched priors run byte for byte.
+// they must never change the verdict.
 func TestCorpusPriorsKeepCoverage(t *testing.T) {
 	seeds := int64(10)
 	if testing.Short() {
@@ -66,7 +62,6 @@ func TestCorpusPriorsKeepCoverage(t *testing.T) {
 				}
 				want := racyFields(base)
 
-				var unbatched string
 				for _, v := range priorsVariants(core.Full().WithSeed(seed)) {
 					res, err := core.RunSource(e.name+".mj", e.src, v.cfg)
 					if err != nil {
@@ -92,14 +87,6 @@ func TestCorpusPriorsKeepCoverage(t *testing.T) {
 					if ds.Accesses != ds.Shipped+ds.CacheHits+ds.OwnerSkips+ds.Sample.Suppressed {
 						t.Errorf("seed %d %s: accounting broken: %d observed != %d shipped + %d cache + %d owner + %d suppressed",
 							seed, v.name, ds.Accesses, ds.Shipped, ds.CacheHits, ds.OwnerSkips, ds.Sample.Suppressed)
-					}
-					if v.name == "priors=on" {
-						unbatched = renderReports(res)
-					} else if v.cfg.BatchSize > 0 {
-						if g := renderReports(res); g != unbatched {
-							t.Errorf("seed %d %s diverges from unbatched priors run:\n--- unbatched ---\n%s\n--- %s ---\n%s",
-								seed, v.name, unbatched, v.name, g)
-						}
 					}
 				}
 			}

@@ -9,9 +9,8 @@ import (
 )
 
 // samplingVariants is the matrix the throttling coverage contract is
-// checked over: a small fixed K (fast demotion, the aggressive end),
-// the adaptive controller, and the fixed K behind the batched front
-// end.
+// checked over: a small fixed K (fast demotion, the aggressive end)
+// and the adaptive controller.
 func samplingVariants(base core.Config) []struct {
 	name string
 	cfg  core.Config
@@ -33,9 +32,6 @@ func samplingVariants(base core.Config) []struct {
 	ad.SampleK = 4
 	ad.SampleBudget = 0.25
 	add("sample-k=4,budget=0.25", ad)
-	b := k4
-	b.BatchSize = 16
-	add("sample-k=4,batch=16", b)
 	return out
 }
 
@@ -46,8 +42,7 @@ func samplingVariants(base core.Config) []struct {
 // must keep every field the unsampled run reported — the corpus races
 // are all stable (recurring) ones, exactly the class the re-arm web
 // guarantees to keep. Clean idioms staying clean falls out of the
-// subset direction. The batched sampled variant must additionally
-// match the unbatched sampled run byte for byte.
+// subset direction.
 func TestCorpusSamplingKeepsStableRaces(t *testing.T) {
 	seeds := int64(10)
 	if testing.Short() {
@@ -67,7 +62,6 @@ func TestCorpusSamplingKeepsStableRaces(t *testing.T) {
 				}
 				want := racyFields(base)
 
-				var unbatched string
 				for _, v := range samplingVariants(core.Full().WithSeed(seed)) {
 					res, err := core.RunSource(e.name+".mj", e.src, v.cfg)
 					if err != nil {
@@ -95,16 +89,6 @@ func TestCorpusSamplingKeepsStableRaces(t *testing.T) {
 					if ds.Accesses != ds.Shipped+ds.CacheHits+ds.OwnerSkips+ds.Sample.Suppressed {
 						t.Errorf("seed %d %s: accounting broken: %d observed != %d shipped + %d cache + %d owner + %d suppressed",
 							seed, v.name, ds.Accesses, ds.Shipped, ds.CacheHits, ds.OwnerSkips, ds.Sample.Suppressed)
-					}
-					// The unbatched K=4 run is the reference the batched
-					// sampled run must reproduce byte for byte.
-					if v.name == "sample-k=4" {
-						unbatched = renderReports(res)
-					} else if v.cfg.BatchSize > 0 {
-						if g := renderReports(res); g != unbatched {
-							t.Errorf("seed %d %s diverges from unbatched sampled:\n--- unbatched ---\n%s\n--- %s ---\n%s",
-								seed, v.name, unbatched, v.name, g)
-						}
 					}
 				}
 			}

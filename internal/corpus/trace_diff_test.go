@@ -8,6 +8,21 @@ import (
 	"racedet/internal/rt/trace"
 )
 
+// renderReports is the byte-level view of a run's detection outcome:
+// the ordered race reports plus the racy-object set. Every
+// differential in this package compares these strings.
+func renderReports(res *core.RunResult) string {
+	s := ""
+	for _, r := range res.Reports {
+		s += r.String() + "\n"
+	}
+	s += "racy:"
+	for _, o := range res.RacyObjects {
+		s += " " + o.String()
+	}
+	return s
+}
+
 // replayVariants is the matrix the record/replay equivalence contract
 // is checked over: sequential and parallel segment decode.
 func replayVariants(base core.Config) []struct {

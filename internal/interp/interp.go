@@ -253,17 +253,6 @@ type Options struct {
 	// the slice ordinal. It exists for diagnostics and fault-injection
 	// tests; a panic inside it is recovered like any interpreter panic.
 	SliceHook func(slice uint64)
-
-	// BatchSize, when positive, buffers access events per thread and
-	// delivers them to the sink in batches of up to this size instead of
-	// one call per access. Buffers are flushed before every non-access
-	// sink callback, at every context switch, and when the run ends, so
-	// the sink observes exactly the unbatched event order (see
-	// event.Batcher). The inlined QuickCheck fast path keeps consulting
-	// the unwrapped sink; the context-switch flush guarantees buffered
-	// events always belong to the thread being checked, which keeps the
-	// fast path's cache view consistent.
-	BatchSize int
 }
 
 // Result summarizes an execution.
@@ -286,12 +275,11 @@ type AccessFastPath interface {
 
 // Machine executes one program.
 type Machine struct {
-	prog    *ir.Program
-	opts    Options
-	sink    event.Sink
-	fast    AccessFastPath // non-nil when sink implements AccessFastPath
-	batcher *event.Batcher // non-nil when Options.BatchSize > 0
-	out     io.Writer
+	prog *ir.Program
+	opts Options
+	sink event.Sink
+	fast AccessFastPath // non-nil when sink implements AccessFastPath
+	out  io.Writer
 
 	threads   []*Thread
 	classObjs map[*sem.Class]*Object
@@ -347,10 +335,6 @@ func New(prog *ir.Program, opts Options) *Machine {
 	}
 	if f, ok := opts.Sink.(AccessFastPath); ok {
 		m.fast = f
-	}
-	if opts.BatchSize > 0 {
-		m.batcher = event.NewBatcher(opts.Sink, opts.BatchSize)
-		m.sink = m.batcher
 	}
 	if opts.RecordSchedule {
 		m.sched = &ScheduleTrace{Seed: opts.Seed, Quantum: m.opts.Quantum}
@@ -416,15 +400,6 @@ func (m *Machine) Run() (res Result, err error) {
 			res, err = m.res, re
 		}
 	}()
-	// Close the batcher on every exit path (including aborts): the
-	// final flush delivers trailing buffered accesses so the detector's
-	// results are complete when Run returns, and Close then recycles
-	// the batch buffers to the package pool for the next run.
-	// Registered after the recover defer, so a detector panic during
-	// this final flush is still converted to an ErrPanic result.
-	if m.batcher != nil {
-		defer m.batcher.Close()
-	}
 	mainFn := m.prog.FuncOf[m.prog.Sem.Main]
 	if mainFn == nil {
 		return m.res, fmt.Errorf("interp: program has no lowered main")
@@ -483,14 +458,6 @@ func (m *Machine) Run() (res Result, err error) {
 					Dump:   m.threadDump(),
 				}
 			}
-		}
-		// Flush buffered accesses at the slice boundary: the invariant
-		// that pending events always belong to the currently running
-		// thread is what keeps the QuickCheck fast path sound under
-		// batching (a cross-thread ownership transition can never hide
-		// in a buffer while the cache answers for another thread).
-		if m.batcher != nil {
-			m.batcher.Flush()
 		}
 		m.res.ContextSwaps++
 		slice++

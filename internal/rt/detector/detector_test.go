@@ -342,22 +342,53 @@ func compareReports(t *testing.T, label string, got, want []string) {
 	}
 }
 
-// TestBatchedProducerMatchesUnbatched checks the batched producer
-// path: a Batcher in front of the detector (the interpreter's
-// BatchSize wiring, which delivers through AccessBatch) must give the
+// runSink hands its Detector each run of consecutive accesses by one
+// thread in one AccessBatch call, cutting the run at every other
+// callback, as trace replay delivers an access block.
+type runSink struct {
+	*Detector
+	run []event.Access
+}
+
+func (r *runSink) flush() {
+	if len(r.run) > 0 {
+		r.Detector.AccessBatch(r.run)
+		r.run = r.run[:0]
+	}
+}
+
+func (r *runSink) Access(a event.Access) {
+	if len(r.run) > 0 && r.run[0].Thread != a.Thread {
+		r.flush()
+	}
+	r.run = append(r.run, a)
+}
+
+func (r *runSink) ThreadStarted(c, p event.ThreadID) { r.flush(); r.Detector.ThreadStarted(c, p) }
+func (r *runSink) ThreadFinished(t event.ThreadID)   { r.flush(); r.Detector.ThreadFinished(t) }
+func (r *runSink) Joined(a, b event.ThreadID)        { r.flush(); r.Detector.Joined(a, b) }
+func (r *runSink) MonitorEnter(t event.ThreadID, l event.ObjID, d int) {
+	r.flush()
+	r.Detector.MonitorEnter(t, l, d)
+}
+func (r *runSink) MonitorExit(t event.ThreadID, l event.ObjID, d int) {
+	r.flush()
+	r.Detector.MonitorExit(t, l, d)
+}
+
+// TestBatchedProducerMatchesUnbatched: delivering per-thread runs
+// through Detector.AccessBatch, as trace replay does, must give the
 // same reports and counters as per-access delivery.
 func TestBatchedProducerMatchesUnbatched(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		plain := New(Options{})
 		feedRandom(plain, seed, 3000)
 
-		batched := New(Options{})
-		b := event.NewBatcher(batched, 8)
-		feedRandom(b, seed, 3000)
-		b.Flush()
+		batched := &runSink{Detector: New(Options{})}
+		feedRandom(batched, seed, 3000)
 
 		label := fmt.Sprintf("seed%d", seed)
-		compareReports(t, label, reportStrings(batched), reportStrings(plain))
+		compareReports(t, label, reportStrings(batched.Detector), reportStrings(plain))
 		if got, want := batched.Stats(), plain.Stats(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: stats diverge\nbatched: %+v\nplain:   %+v", label, got, want)
 		}

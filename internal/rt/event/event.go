@@ -242,11 +242,11 @@ func (l Lockset) String() string {
 // Access is an access event (m, t, L, a, s).
 //
 // Field order is chosen for cache density, not readability: the event
-// pipeline buffers Access values by the thousand (Batcher runs, trace
-// decode blocks), so the struct keeps the wide
-// pointer-bearing fields together and packs the narrow scalars into
-// one trailing word — with the int32 token.Pos fields this is 96
-// bytes per event instead of the previous layout's 104.
+// pipeline buffers Access values by the thousand (trace decode
+// blocks), so the struct keeps the wide pointer-bearing fields
+// together and packs the narrow scalars into one trailing word — with
+// the int32 token.Pos fields this is 96 bytes per event instead of the
+// previous layout's 104.
 type Access struct {
 	Loc   Loc       // 16 bytes (12 used)
 	Locks Lockset   // 24

@@ -1,7 +1,6 @@
 package event
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -110,53 +109,4 @@ func TestLockTrackerInterned(t *testing.T) {
 	if got := it.Lockset(lt.HeldID(tid)); !got.Equal(Lockset{10}) {
 		t.Fatalf("after exit Held = %v, want [10]", got)
 	}
-}
-
-func TestBatcherPreservesOrder(t *testing.T) {
-	// A recording sink sees the same sequence batched and unbatched.
-	var got, want []string
-	feed := func(s Sink) {
-		s.ThreadStarted(0, NoThread)
-		for i := 0; i < 5; i++ {
-			s.Access(Access{Loc: Loc{Obj: 1, Slot: int32(i)}, Thread: 0, Kind: Read})
-		}
-		s.MonitorEnter(0, 7, 0)
-		s.Access(Access{Loc: Loc{Obj: 2}, Thread: 0, Kind: Write})
-		s.Access(Access{Loc: Loc{Obj: 3}, Thread: 1, Kind: Write}) // thread switch
-		s.MonitorExit(0, 7, 0)
-		s.ThreadFinished(0)
-	}
-	feed(recorderSink{&want})
-	b := NewBatcher(recorderSink{&got}, 3)
-	feed(b)
-	b.Flush()
-	if len(got) != len(want) {
-		t.Fatalf("batched sequence has %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: batched %q, unbatched %q", i, got[i], want[i])
-		}
-	}
-}
-
-type recorderSink struct {
-	out *[]string
-}
-
-func (r recorderSink) push(s string) { *r.out = append(*r.out, s) }
-
-func (r recorderSink) ThreadStarted(c, p ThreadID) {
-	r.push(fmt.Sprintf("start %s<-%s", c, p))
-}
-func (r recorderSink) ThreadFinished(t ThreadID) { r.push(fmt.Sprintf("finish %s", t)) }
-func (r recorderSink) Joined(a, b ThreadID)      { r.push(fmt.Sprintf("join %s %s", a, b)) }
-func (r recorderSink) MonitorEnter(t ThreadID, l ObjID, d int) {
-	r.push(fmt.Sprintf("enter %s %d %d", t, l, d))
-}
-func (r recorderSink) MonitorExit(t ThreadID, l ObjID, d int) {
-	r.push(fmt.Sprintf("exit %s %d %d", t, l, d))
-}
-func (r recorderSink) Access(a Access) {
-	r.push(fmt.Sprintf("access %s %v %s %s", a.Thread, a.Loc, a.Kind, a.Locks))
 }

@@ -24,9 +24,8 @@
 // independently — the parallel replay engine decodes N segments
 // concurrently and feeds them downstream in order. A block is either a
 // single control event (thread start/finish/join, monitor enter/exit)
-// or a run of accesses by one thread under one lock environment — the
-// same framing the live Batcher produces, which is why recording
-// composes with the batched event pipeline at block granularity.
+// or a run of accesses by one thread under one lock environment, which
+// replay hands to a batch-aware sink (event.BatchSink) in one call.
 //
 // Access records are delta-encoded: object and slot as zigzag varint
 // deltas against the previous access of the block, source positions as

@@ -517,10 +517,11 @@ func (r *Reader) decodeSegment(i int, d *decodedSeg) error {
 }
 
 // feed delivers one decoded segment to the sink in stream order.
-// Access blocks go through AccessBatch when the sink supports it —
-// block framing mirrors the live Batcher's, so the sink sees the
-// granularity it is optimized for. Batch slices are only valid during
-// the call (the buffers are pooled), matching the BatchSink contract.
+// Access blocks go through AccessBatch when the sink supports it: a
+// block is one thread's run under one lock environment, so the sink
+// can resolve the lockset once per block. Batch slices are only valid
+// during the call (the buffers are pooled), matching the BatchSink
+// contract.
 func feed(d *decodedSeg, sink event.Sink, batch event.BatchSink) {
 	for _, op := range d.ops {
 		switch op.Kind {

@@ -150,46 +150,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRoundTripBatched delivers the access stream through a Batcher
-// (as batched live runs do) and checks the decoded stream is identical
-// to the unbatched recording: batching changes framing, never content.
-func TestRoundTripBatched(t *testing.T) {
-	var plain, batched bytes.Buffer
-	wp := NewWriterSize(&plain, 2048)
-	drive(wp, 3000)
-	if err := wp.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	wb := NewWriterSize(&batched, 2048)
-	b := event.NewBatcher(wb, 16)
-	drive(b, 3000)
-	b.Close()
-	if err := wb.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-
-	render := func(data []byte) []string {
-		r, err := NewReader(data)
-		if err != nil {
-			t.Fatalf("NewReader: %v", err)
-		}
-		var c collector
-		if _, err := r.Replay(&c, 1); err != nil {
-			t.Fatalf("Replay: %v", err)
-		}
-		return c.lines
-	}
-	p, q := render(plain.Bytes()), render(batched.Bytes())
-	if len(p) != len(q) {
-		t.Fatalf("batched recording has %d events, plain %d", len(q), len(p))
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			t.Fatalf("event %d differs:\n plain   %s\n batched %s", i, p[i], q[i])
-		}
-	}
-}
-
 func TestLocksetTableRecorded(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

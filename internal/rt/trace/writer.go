@@ -20,12 +20,10 @@ const DefaultSegmentTarget = 64 << 10
 // from the block header without trusting it unboundedly).
 const maxBlockEvents = 4096
 
-// Writer is the recording sink: it implements event.Sink (and
-// event.BatchSink, so the live Batcher hands it whole per-thread runs)
-// and streams the compact binary trace to an io.Writer. The caller
-// must call Finalize when the run ends — the trailer it writes is what
-// marks the trace complete; without it readers reject the file as
-// truncated.
+// Writer is the recording sink: it implements event.Sink and streams
+// the compact binary trace to an io.Writer. The caller must call
+// Finalize when the run ends — the trailer it writes is what marks the
+// trace complete; without it readers reject the file as truncated.
 //
 // The writer buffers internally; errors from the underlying writer are
 // sticky and reported by Finalize (and Err).
@@ -109,8 +107,6 @@ func NewWriterSize(w io.Writer, segTarget int) *Writer {
 // descriptions reflect the heap's final state, matching when live
 // detectors render their reports. Nil skips the table.
 func (w *Writer) SetDescribeObj(fn func(event.ObjID) string) { w.describe = fn }
-
-var _ event.BatchSink = (*Writer)(nil)
 
 // Err returns the sticky write error, if any.
 func (w *Writer) Err() error { return w.err }
@@ -278,15 +274,6 @@ func (w *Writer) Access(a event.Access) {
 	w.blk = putZigzag(w.blk, col-w.prevCol)
 	w.prevObj, w.prevSlot, w.prevLine, w.prevCol = obj, slot, line, col
 	w.blkCount++
-}
-
-// AccessBatch implements event.BatchSink. A batch is one thread's run
-// under one lock environment — exactly one trace block (or several,
-// if it exceeds maxBlockEvents).
-func (w *Writer) AccessBatch(batch []event.Access) {
-	for _, a := range batch {
-		w.Access(a)
-	}
 }
 
 // Finalize flushes pending events and writes the lockset table, string

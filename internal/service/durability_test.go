@@ -166,6 +166,10 @@ func TestRecoveryRerunsIncompleteJob(t *testing.T) {
 	}
 	req := JobRequest{File: "racy.mj", Source: racyProg, Seed: 3, IdempotencyKey: "lost"}
 	reqJSON, _ := json.Marshal(req)
+	// The admit record still carries the retired "shards" and "batch"
+	// keys, as records written by older daemons do; recovery decodes
+	// the request unchanged.
+	reqJSON = append([]byte(`{"shards":4,"batch":64,`), reqJSON[1:]...)
 	if err := st.Append(durable.Record{Kind: durable.KindAdmit, Job: 7, Key: req.IdempotencyKey, Request: reqJSON}); err != nil {
 		t.Fatalf("seeding admit: %v", err)
 	}

@@ -108,10 +108,6 @@ type Options struct {
 	// rejected as bad requests before any decoding happens.
 	MaxTraceBytes int
 
-	// BatchSize is the per-session event batching default
-	// (overridable per job), exactly as in racedet.Options.
-	BatchSize int
-
 	// SampleK/SampleBudget are the per-session adaptive-throttling
 	// defaults (overridable per job), exactly as in racedet.Options:
 	// SampleK > 0 demotes an access site after K consecutive clean

@@ -143,9 +143,9 @@ func TestDetectorSelection(t *testing.T) {
 	}
 }
 
-// TestShardsFieldIgnored pins wire compatibility: the job JSON's
-// "shards" field is still accepted, and ignored, so a job that sets
-// it gets exactly the verdict of one that does not.
+// TestShardsFieldIgnored pins wire compatibility: the retired job JSON
+// fields "shards" and "batch" are still accepted, and ignored, so a
+// job that sets them gets exactly the verdict of one that does not.
 func TestShardsFieldIgnored(t *testing.T) {
 	_, c, stop := newTestServer(t, Options{})
 	defer stop()
@@ -175,15 +175,18 @@ func TestShardsFieldIgnored(t *testing.T) {
 	if len(want.Races) == 0 || want.CompileError != "" || want.RuntimeError != "" {
 		t.Fatalf("reference job: %+v", want)
 	}
-	for _, shards := range []int{4, -1} {
-		body := map[string]any{"shards": shards}
+	for _, extra := range []map[string]any{{"shards": 4}, {"shards": -1}, {"batch": 64}} {
+		body := map[string]any{}
 		for k, v := range base {
+			body[k] = v
+		}
+		for k, v := range extra {
 			body[k] = v
 		}
 		got := post(body)
 		if !reflect.DeepEqual(got.Races, want.Races) || got.RacyObjects != want.RacyObjects ||
 			got.Output != want.Output || !reflect.DeepEqual(got.Stats, want.Stats) {
-			t.Errorf("shards=%d changed the verdict:\n got %+v\nwant %+v", shards, got, want)
+			t.Errorf("%v changed the verdict:\n got %+v\nwant %+v", extra, got, want)
 		}
 	}
 }

@@ -36,11 +36,6 @@ type JobRequest struct {
 	// Detector selects the runtime algorithm: "trie" (default),
 	// "eraser", "objectrace", "hb".
 	Detector string `json:"detector,omitempty"`
-	// Shards is accepted for wire compatibility and ignored: detection
-	// always runs serially. Batch > 0 overrides the daemon's per-session
-	// event batching default.
-	Shards int `json:"shards,omitempty"`
-	Batch  int `json:"batch,omitempty"`
 	// NoStatic disables the static race analysis for this job
 	// (instrument everything), as racedet -nostatic.
 	NoStatic bool `json:"nostatic,omitempty"`
@@ -118,10 +113,6 @@ func (s *Server) jobOptions(req JobRequest) racedet.Options {
 		Timeout:               s.opts.JobTimeout,
 		LivelockWindow:        s.opts.LivelockWindow,
 		FactCacheDir:          s.opts.FactCacheDir,
-		BatchSize:             s.opts.BatchSize,
-	}
-	if req.Batch > 0 {
-		o.BatchSize = req.Batch
 	}
 	o.SampleK = s.opts.SampleK
 	o.SampleBudget = s.opts.SampleBudget
@@ -177,7 +168,6 @@ func (s *Server) runSession(job uint64, req JobRequest) JobResult {
 	// still gets an explicit verdict instead of a lost analysis.
 	eopts := opts
 	eopts.Detector = racedet.Eraser
-	eopts.BatchSize = 0
 	eopts.FactCacheDir = "" // the degraded pass must not depend on shared state
 	res, err, panicked := s.attempt(job, req, eopts, false)
 	if panicked {

@@ -162,11 +162,6 @@ type Options struct {
 	MaxCacheThreads   int
 	MaxOwnerLocations int
 
-	// BatchSize, when > 0, buffers access events per thread and hands
-	// them to the detector in batches of up to this size; event order
-	// and reports are unchanged.
-	BatchSize int
-
 	// SampleK > 0 enables adaptive per-site throttling: a static
 	// access site that produces SampleK consecutive clean observations
 	// demotes to a counting-only stub, and is re-armed the moment the
@@ -230,7 +225,6 @@ func (o Options) config() core.Config {
 	cfg.MaxTrieNodes = o.MaxTrieNodes
 	cfg.MaxCacheThreads = o.MaxCacheThreads
 	cfg.MaxOwnerLocations = o.MaxOwnerLocations
-	cfg.BatchSize = o.BatchSize
 	cfg.SampleK = o.SampleK
 	cfg.SampleBudget = o.SampleBudget
 	cfg.Priors = o.Priors
