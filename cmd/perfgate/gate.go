@@ -1,145 +1,221 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"text/tabwriter"
-
-	"racedet/internal/bench"
 )
 
-func loadReport(path string) (*bench.JSONReport, error) {
-	f, err := os.Open(path)
+// spec is the part of BENCHMARK.json the gate reads.
+type spec struct {
+	Workloads []workload   `json:"workloads"`
+	EndToEnd  []metricSpec `json:"end_to_end"`
+}
+
+type workload struct {
+	Name string `json:"name"`
+}
+
+// metricSpec is one gated metric: which direction is better, and the
+// largest relative change for the worse that still passes.
+type metricSpec struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+func readSpec(path string) (*spec, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return bench.ReadJSON(f)
-}
-
-// row is one (benchmark, config) comparison between the two artifacts.
-type row struct {
-	Benchmark string
-	Config    string
-	BaseNs    int64
-	CurNs     int64
-	Gated     bool
-	Missing   bool // cell present in the baseline but not measured now
-}
-
-// Ratio is current/baseline ns/op; 1.0 means unchanged, 1.30 means 30%
-// slower than the baseline.
-func (r row) Ratio() float64 { return float64(r.CurNs) / float64(r.BaseNs) }
-
-// compare walks every cell of the baseline and looks it up in the
-// current artifact. A gated cell missing from the current artifact is
-// a violation (a gate that silently skips cells protects nothing), as
-// is a gated cell whose ns/op grew beyond the threshold.
-//
-// Degenerate artifacts downgrade to warnings instead of blowing up
-// the gate: a baseline cell with no measurement (ns/op <= 0, e.g. a
-// hand-edited or truncated baseline) is skipped with a warning rather
-// than producing an infinite ratio; cells that exist only in the
-// current artifact are reported as warnings (adding a configuration
-// must not require regenerating the baseline first, but the gap
-// should be visible); and a gated configuration with zero usable
-// baseline cells is warned about, because a gate with nothing to
-// compare against protects nothing.
-func compare(base, cur *bench.JSONReport, gated map[string]bool, threshold float64) (rows []row, violations, warnings []string) {
-	curNs := make(map[string]int64, len(cur.Results))
-	for _, r := range cur.Results {
-		curNs[r.Benchmark+"/"+r.Config] = r.NsPerOp
+	var sp spec
+	if err := json.Unmarshal(data, &sp); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	baseSeen := make(map[string]bool, len(base.Results))
-	gatedCells := make(map[string]int, len(gated))
-	for _, b := range base.Results {
-		key := b.Benchmark + "/" + b.Config
-		baseSeen[key] = true
-		if b.NsPerOp <= 0 {
-			warnings = append(warnings,
-				fmt.Sprintf("%s: baseline has no measurement (ns/op=%d); cell skipped", key, b.NsPerOp))
-			continue
+	if len(sp.Workloads) == 0 || len(sp.EndToEnd) == 0 {
+		return nil, fmt.Errorf("%s: no workloads or no end_to_end metrics", path)
+	}
+	for _, m := range sp.EndToEnd {
+		if (m.Better != "lower" && m.Better != "higher") || m.Bound <= 0 {
+			return nil, fmt.Errorf("%s: metric %q: want better lower or higher and a positive bound", path, m.Name)
 		}
-		r := row{
-			Benchmark: b.Benchmark,
-			Config:    b.Config,
-			BaseNs:    b.NsPerOp,
-			Gated:     gated[b.Config],
+	}
+	return &sp, nil
+}
+
+// runLine is one run's result line, as cmd/benchmark prints it.
+type runLine struct {
+	Attempted int64            `json:"attempted"`
+	Failed    int64            `json:"failed"`
+	Metrics   map[string]value `json:"metrics"`
+}
+
+type value struct {
+	Value float64 `json:"value"`
+}
+
+// readSide reads <dir>/<workload>.jsonl for every workload of sp.
+func readSide(dir string, sp *spec) (map[string][]runLine, error) {
+	out := make(map[string][]runLine, len(sp.Workloads))
+	for _, w := range sp.Workloads {
+		path := filepath.Join(dir, w.Name+".jsonl")
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
 		}
-		if r.Gated {
-			gatedCells[b.Config]++
+		runs, err := readRuns(f, sp.EndToEnd)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		ns, ok := curNs[key]
-		if !ok {
-			r.Missing = true
-			if r.Gated {
-				violations = append(violations,
-					fmt.Sprintf("%s: gated cell missing from current artifact", key))
+		out[w.Name] = runs
+	}
+	return out, nil
+}
+
+// readRuns parses one workload file. Every line must be a result
+// carrying every gated metric, and there must be at least one.
+func readRuns(r io.Reader, metrics []metricSpec) ([]runLine, error) {
+	var runs []runLine
+	sc := bufio.NewScanner(r)
+	for n := 1; sc.Scan(); n++ {
+		var rl runLine
+		dec := json.NewDecoder(bytes.NewReader(sc.Bytes()))
+		if err := dec.Decode(&rl); err != nil {
+			return nil, fmt.Errorf("line %d: malformed result: %v", n, err)
+		}
+		if dec.More() {
+			return nil, fmt.Errorf("line %d: malformed result: trailing data", n)
+		}
+		for _, m := range metrics {
+			if _, ok := rl.Metrics[m.Name]; !ok {
+				return nil, fmt.Errorf("line %d: malformed result: no metric %q", n, m.Name)
 			}
-		} else {
-			r.CurNs = ns
-			if r.Gated && r.Ratio() > 1+threshold {
-				violations = append(violations,
-					fmt.Sprintf("%s: %d -> %d ns/op (%.2fx, limit %.2fx)",
-						key, r.BaseNs, r.CurNs, r.Ratio(), 1+threshold))
+		}
+		runs = append(runs, rl)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("no runs")
+	}
+	return runs, nil
+}
+
+// extraWorkloads lists the .jsonl files in dir that name no workload
+// of sp, sorted.
+func extraWorkloads(dir string, sp *spec) []string {
+	known := map[string]bool{}
+	for _, w := range sp.Workloads {
+		known[w.Name] = true
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, "*.jsonl"))
+	var extra []string
+	for _, p := range paths {
+		if name := strings.TrimSuffix(filepath.Base(p), ".jsonl"); !known[name] {
+			extra = append(extra, name)
+		}
+	}
+	return extra
+}
+
+// row is one (workload, metric) comparison. The failed-op share is a
+// row too, with Metric "failed_share".
+type row struct {
+	Workload, Metric string
+	Parent, Change   float64
+	Limit            string
+	Worse            bool
+}
+
+// compare checks the change's runs against the parent's, workload by
+// workload. A parent median of zero or less means the metric was not
+// measured there; it is skipped with a warning rather than compared.
+func compare(sp *spec, parent, change map[string][]runLine) (rows []row, violations, warnings []string) {
+	for _, w := range sp.Workloads {
+		p, c := parent[w.Name], change[w.Name]
+		for _, m := range sp.EndToEnd {
+			r := row{Workload: w.Name, Metric: m.Name, Parent: median(p, m.Name), Change: median(c, m.Name)}
+			if r.Parent <= 0 {
+				warnings = append(warnings, fmt.Sprintf("%s/%s: parent median %g, not measured; not gated", w.Name, m.Name, r.Parent))
+				continue
 			}
+			if m.Better == "lower" {
+				r.Limit = fmt.Sprintf("<= %.2fx", 1+m.Bound)
+				r.Worse = r.Change > r.Parent*(1+m.Bound)
+			} else {
+				r.Limit = fmt.Sprintf(">= %.2fx", 1-m.Bound)
+				r.Worse = r.Change < r.Parent*(1-m.Bound)
+			}
+			if r.Worse {
+				violations = append(violations, fmt.Sprintf("%s/%s: median %.4g -> %.4g (%.2fx, limit %s)",
+					w.Name, m.Name, r.Parent, r.Change, r.Change/r.Parent, r.Limit))
+			}
+			rows = append(rows, r)
+		}
+		pf, pa := failedOps(p)
+		cf, ca := failedOps(c)
+		r := row{Workload: w.Name, Metric: "failed_share", Parent: share(pf, pa), Change: share(cf, ca), Limit: "<= parent"}
+		if r.Worse = r.Change > r.Parent; r.Worse {
+			violations = append(violations, fmt.Sprintf("%s/failed_share: %d of %d ops -> %d of %d ops",
+				w.Name, pf, pa, cf, ca))
 		}
 		rows = append(rows, r)
 	}
-	gatedNames := make([]string, 0, len(gated))
-	for c := range gated {
-		gatedNames = append(gatedNames, c)
-	}
-	sort.Strings(gatedNames)
-	for _, c := range gatedNames {
-		if gatedCells[c] == 0 {
-			warnings = append(warnings,
-				fmt.Sprintf("gated config %q has no usable baseline cells; the gate cannot protect it", c))
-		}
-	}
-	for _, r := range cur.Results {
-		if key := r.Benchmark + "/" + r.Config; !baseSeen[key] {
-			warnings = append(warnings,
-				fmt.Sprintf("%s: present only in current artifact (no baseline, not gated)", key))
-		}
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Gated != rows[j].Gated {
-			return rows[i].Gated
-		}
-		if rows[i].Benchmark != rows[j].Benchmark {
-			return rows[i].Benchmark < rows[j].Benchmark
-		}
-		return rows[i].Config < rows[j].Config
-	})
 	return rows, violations, warnings
 }
 
-func countGated(rows []row) int {
-	n := 0
-	for _, r := range rows {
-		if r.Gated {
-			n++
-		}
+// median is the median of the metric over the runs (the mean of the
+// two middle values for an even count).
+func median(runs []runLine, metric string) float64 {
+	xs := make([]float64, len(runs))
+	for i, r := range runs {
+		xs[i] = r.Metrics[metric].Value
 	}
-	return n
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+func failedOps(runs []runLine) (failed, attempted int64) {
+	for _, r := range runs {
+		failed += r.Failed
+		attempted += r.Attempted
+	}
+	return failed, attempted
+}
+
+func share(failed, attempted int64) float64 {
+	if attempted == 0 {
+		return 0
+	}
+	return float64(failed) / float64(attempted)
 }
 
 func printRows(w io.Writer, rows []row) {
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "benchmark\tconfig\tbaseline ns/op\tcurrent ns/op\tratio\tgated")
+	fmt.Fprintln(tw, "workload\tmetric\tparent\tchange\tratio\tlimit\tverdict")
 	for _, r := range rows {
-		gate := ""
-		if r.Gated {
-			gate = "*"
+		verdict, ratio := "ok", "-"
+		if r.Worse {
+			verdict = "WORSE"
 		}
-		if r.Missing {
-			fmt.Fprintf(tw, "%s\t%s\t%d\t(missing)\t\t%s\n", r.Benchmark, r.Config, r.BaseNs, gate)
-			continue
+		if r.Parent > 0 {
+			ratio = fmt.Sprintf("%.2fx", r.Change/r.Parent)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.2fx\t%s\n", r.Benchmark, r.Config, r.BaseNs, r.CurNs, r.Ratio(), gate)
+		fmt.Fprintf(tw, "%s\t%s\t%.4g\t%.4g\t%s\t%s\t%s\n", r.Workload, r.Metric, r.Parent, r.Change, ratio, r.Limit, verdict)
 	}
 	tw.Flush()
 }

@@ -25,7 +25,8 @@ func TestBenchFlagValidation(t *testing.T) {
 		want string
 	}{
 		{"runs zero", []string{"-runs", "0"}, "-runs must be >= 1"},
-		{"benchreps zero", []string{"-benchreps", "0"}, "-benchreps must be >= 1"},
+		{"unknown table", []string{"-table", "9"}, `unknown table "9"`},
+		{"json flag removed", []string{"-json", "x"}, "flag provided but not defined: -json"},
 		{"unknown flag", []string{"-no-such-flag"}, "flag"},
 	}
 	for _, tc := range cases {

@@ -8,7 +8,9 @@
 //	racebench -table all            # everything
 //	racebench -table 2 -runs 5      # Table 2, best of five runs
 //	racebench -compare              # trie vs Eraser/ObjectRace/HB
-//	racebench -json BENCH_PR2.json  # machine-readable ns/op + allocs/op
+//
+// Wall-clock performance is measured by cmd/benchmark (BENCHMARK.json),
+// not here.
 package main
 
 import (
@@ -25,8 +27,6 @@ func main() {
 		table      = flag.String("table", "all", "which table to regenerate: 1, 2, 3, or all")
 		runs       = flag.Int("runs", 5, "Table 2: runs per configuration (best is reported, as in the paper)")
 		compare    = flag.Bool("compare", false, "also print the detector comparison (§8.3/§9)")
-		jsonPath   = flag.String("json", "", "write machine-readable results (ns/op, allocs/op per benchmark and config) to this file and skip the tables")
-		benchReps  = flag.Int("benchreps", 1, "measurement reps per -json cell, interleaved across configurations; the report carries median ns/op with min/max spread")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)
@@ -48,9 +48,11 @@ func main() {
 			if *runs <= 0 {
 				flagErr = fmt.Errorf("-runs must be >= 1 (got %d)", *runs)
 			}
-		case "benchreps":
-			if *benchReps <= 0 {
-				flagErr = fmt.Errorf("-benchreps must be >= 1 (got %d)", *benchReps)
+		case "table":
+			switch *table {
+			case "1", "2", "3", "all":
+			default:
+				flagErr = fmt.Errorf("unknown table %q (want 1, 2, 3 or all)", *table)
 			}
 		}
 	})
@@ -70,23 +72,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "racebench:", err)
 		stopProfiles()
 		os.Exit(1)
-	}
-
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fail(err)
-		}
-		jopts := bench.JSONOptions{BenchReps: *benchReps}
-		if err := bench.WriteJSON(f, jopts); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "racebench: wrote %s\n", *jsonPath)
-		return
 	}
 
 	w := os.Stdout
@@ -116,9 +101,6 @@ func main() {
 			fail(err)
 		}
 		return
-	default:
-		fmt.Fprintf(os.Stderr, "racebench: unknown table %q\n", *table)
-		os.Exit(2)
 	}
 	if *compare {
 		fmt.Fprintln(w)

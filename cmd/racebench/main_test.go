@@ -29,7 +29,8 @@ func TestRacebenchCLI(t *testing.T) {
 	if !strings.Contains(string(out), "NoOwnership") {
 		t.Errorf("table 3 output wrong:\n%s", out)
 	}
-	if err := exec.Command(bin, "-table", "9").Run(); err == nil {
-		t.Error("unknown table must fail")
+	err = exec.Command(bin, "-table", "9").Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 3 {
+		t.Errorf("-table 9: err = %v, want exit 3 (usage error)", err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -306,23 +305,4 @@ func CompareDetectors(w io.Writer) error {
 			row.Name, row.Trie, row.NoPseudo, row.Eraser, row.ObjectRace, row.VClock)
 	}
 	return nil
-}
-
-// RacyFieldNames returns the distinct field names reported racy under
-// cfg, sorted — handy for asserting which races are found.
-func RacyFieldNames(b Benchmark, cfg core.Config) ([]string, error) {
-	res, err := b.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	set := map[string]struct{}{}
-	for _, r := range res.Reports {
-		set[r.Access.FieldName] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out, nil
 }

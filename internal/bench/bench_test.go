@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 	"testing"
 
 	"racedet/internal/core"
 	"racedet/internal/rt/event"
+	"racedet/internal/rt/trace"
 )
 
 func TestAllBenchmarksRunClean(t *testing.T) {
@@ -82,7 +84,7 @@ func TestKnownRaces(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			got, err := RacyFieldNames(b, core.Full())
+			got, err := racyFieldNames(b, core.Full())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,5 +289,62 @@ func TestByName(t *testing.T) {
 	}
 	if b.LineCount() < 50 {
 		t.Errorf("mtrt LoC = %d, suspiciously small", b.LineCount())
+	}
+}
+
+// racyFieldNames returns the distinct field names reported racy under
+// cfg, sorted.
+func racyFieldNames(b Benchmark, cfg core.Config) ([]string, error) {
+	res, err := b.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	set := map[string]struct{}{}
+	for _, r := range res.Reports {
+		set[r.Access.FieldName] = struct{}{}
+	}
+	out := make([]string, 0, len(set))
+	for s := range set {
+		out = append(out, s)
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
+// TestReplayCellsMatchLive records every paper benchmark once as a
+// binary trace under Full and replays it with serial and with parallel
+// segment decode: each replay must find exactly the racy objects the
+// live run found.
+func TestReplayCellsMatchLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every benchmark")
+	}
+	for _, b := range All() {
+		var buf bytes.Buffer
+		cfg := core.Full()
+		cfg.TraceTo = &buf
+		live, err := b.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := trace.NewReader(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		for _, workers := range []int{1, 0} {
+			rr, err := core.ReplayTrace(rd, core.Full(), workers)
+			if err != nil {
+				t.Fatalf("%s/workers=%d: %v", b.Name, workers, err)
+			}
+			if rr.Err != nil {
+				t.Fatalf("%s/workers=%d: %v", b.Name, workers, rr.Err)
+			}
+			if got, want := len(rr.RacyObjects), len(live.RacyObjects); got != want {
+				t.Errorf("%s/workers=%d: %d racy objects, live run found %d", b.Name, workers, got, want)
+			}
+			if rr.Interp.TraceEvents == 0 {
+				t.Errorf("%s/workers=%d: replay counted no events", b.Name, workers)
+			}
+		}
 	}
 }

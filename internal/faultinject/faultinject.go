@@ -223,11 +223,6 @@ func (p *Plan) DiskSync(tag string) error {
 // past the end of the stream never fires).
 func (p *Plan) Fired() uint64 { return p.fired.Load() }
 
-// Empty reports whether the plan contains no faults at all.
-func (p *Plan) Empty() bool {
-	return !p.HasSessionFaults() && !p.HasDiskFaults()
-}
-
 // HasDiskFaults reports whether the plan contains durable-write faults
 // (which the session hooks never consult).
 func (p *Plan) HasDiskFaults() bool {

@@ -7,6 +7,11 @@ import (
 	"time"
 )
 
+// Empty reports whether the plan contains no faults at all.
+func (p *Plan) Empty() bool {
+	return !p.HasSessionFaults() && !p.HasDiskFaults()
+}
+
 func TestParseSpec(t *testing.T) {
 	p, err := Parse("session-panic:job=1,times=2; slow-client:job=*,delay=1ms; admission-full:times=3; enospc:disk=wal,times=1; crash:at=4")
 	if err != nil {

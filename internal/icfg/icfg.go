@@ -124,12 +124,6 @@ func (g *Graph) NodeOfInstr(fn *ir.Func, in *ir.Instr) *Node {
 	return g.methodNode[fn]
 }
 
-// Nodes returns all ICG nodes.
-func (g *Graph) Nodes() []*Node { return g.nodes }
-
-// Roots returns the thread-root nodes.
-func (g *Graph) Roots() []*Node { return g.roots }
-
 func (g *Graph) wireEdges() {
 	addPred := func(n, p *Node) {
 		for _, x := range n.Preds {

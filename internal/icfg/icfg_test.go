@@ -148,7 +148,7 @@ class M {
 
 func TestThreadRoots(t *testing.T) {
 	prog, g := build(t, syncProgram)
-	roots := g.Roots()
+	roots := g.roots
 	if len(roots) != 2 {
 		t.Fatalf("roots = %v, want [main, W.run]", roots)
 	}
@@ -232,7 +232,7 @@ func TestNodePerSyncRegion(t *testing.T) {
 	// W has: viaMethod (method-level region), viaBlock (block region),
 	// plus method nodes. Count region nodes.
 	regionNodes := 0
-	for _, n := range g.Nodes() {
+	for _, n := range g.nodes {
 		if n.Region != nil {
 			regionNodes++
 		}

@@ -79,29 +79,6 @@ type Options struct {
 	NoDominators bool
 }
 
-// EliminateRedundant removes trace instructions S_j for which a
-// statically weaker trace S_i exists (Definition 3):
-//
-//	S_i ⊑ S_j ⟺ Exec(S_i, S_j) ∧ a_i ⊑ a_j ∧ outer(S_i, S_j)
-//	            ∧ valnum(o_i) = valnum(o_j) ∧ f_i = f_j
-//
-// Exec(S_i, S_j) (Definition 4) holds when S_i dominates S_j and no
-// method invocation lies on any intraprocedural path between them; we
-// additionally reject monitorenter/monitorexit between the two, which
-// closes the lock-reentry corner the lexical outer() check leaves open
-// (strictly more conservative than the paper).
-//
-// This is the single-function intraprocedural form; EliminateProgram
-// runs the same engine over a whole program, optionally with the
-// interprocedural strengthenings of interproc.go.
-//
-// It returns the number of traces removed.
-func EliminateRedundant(f *ir.Func) int {
-	c := newElimCtx(f, nil)
-	c.pairLoop(nil)
-	return c.removeEliminated()
-}
-
 // outer implements outer(S_i, S_j): S_j is at the same synchronized
 // nesting level as S_i or deeper within S_i's innermost region —
 // lexically, S_i's region stack is a prefix of S_j's.

@@ -8,7 +8,27 @@ import (
 	"racedet/internal/lang/parser"
 	"racedet/internal/lang/sem"
 	"racedet/internal/lower"
+	"racedet/internal/pointsto"
 )
+
+// EliminateRedundant is the single-function intraprocedural form of
+// EliminateProgramWith, the reference the whole-program sweep is
+// checked against. It returns the number of traces removed.
+func EliminateRedundant(f *ir.Func) int {
+	c := newElimCtx(f, nil)
+	c.pairLoop(nil)
+	return c.removeEliminated()
+}
+
+// EliminateProgram runs EliminateProgramWith, building the Interproc
+// from pts when interproc is set.
+func EliminateProgram(prog *ir.Program, pts *pointsto.Result, interproc bool) (int, *Report) {
+	var ip *Interproc
+	if interproc && pts != nil {
+		ip = BuildInterproc(prog, pts)
+	}
+	return EliminateProgramWith(prog, ip, nil)
+}
 
 // buildInstrumented parses, optionally peels, lowers, instruments
 // everything, and runs the elimination; it returns the named function

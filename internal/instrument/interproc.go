@@ -982,25 +982,29 @@ func findCover(gc *elimCtx, s callRef, loc factKey, acc ir.AccessKind, candidate
 	return nil
 }
 
-// EliminateProgram ----------------------------------------------------
+// EliminateProgramWith -------------------------------------------------
 
-// EliminateProgram runs the weaker-than elimination over the whole
-// program. With interproc false (or pts nil) it is exactly the per-
-// function Definition 3 sweep; with interproc true it additionally
-// applies the relaxed barriers, stable-field value numbering, and
-// cross-call coverage described at the top of this file. It returns
-// the number of traces removed and the per-elimination report.
-func EliminateProgram(prog *ir.Program, pts *pointsto.Result, interproc bool) (int, *Report) {
-	var ip *Interproc
-	if interproc && pts != nil {
-		ip = BuildInterproc(prog, pts)
-	}
-	return EliminateProgramWith(prog, ip, nil)
-}
-
-// EliminateProgramWith is EliminateProgram with a prebuilt Interproc
-// (nil = intraprocedural only) and an optional skip predicate for the
-// fact cache: a skipped function's current traces are taken as final —
+// EliminateProgramWith removes, over the whole program, the trace
+// instructions S_j for which a statically weaker trace S_i exists
+// (Definition 3):
+//
+//	S_i ⊑ S_j ⟺ Exec(S_i, S_j) ∧ a_i ⊑ a_j ∧ outer(S_i, S_j)
+//	            ∧ valnum(o_i) = valnum(o_j) ∧ f_i = f_j
+//
+// Exec(S_i, S_j) (Definition 4) holds when S_i dominates S_j and no
+// method invocation lies on any intraprocedural path between them; we
+// additionally reject monitorenter/monitorexit between the two, which
+// closes the lock-reentry corner the lexical outer() check leaves open
+// (strictly more conservative than the paper).
+//
+// With ip nil it is exactly the per-function Definition 3 sweep; with
+// a prebuilt Interproc it additionally applies the relaxed barriers,
+// stable-field value numbering, and cross-call coverage described at
+// the top of this file. It returns the number of traces removed and
+// the per-elimination report.
+//
+// skip is an optional predicate for the fact cache: a skipped
+// function's current traces are taken as final —
 // it runs no elimination of its own and offers no pass-2 candidates,
 // but still provides context (summaries, covers, relaxed barriers) to
 // the functions that do. Skipping is sound only when the skipped

@@ -128,9 +128,6 @@ class M { static void main() { } }`
 	if n := f.CountInstrs(func(in *ir.Instr) bool { return in.Op == ir.OpPutField }); n != 2 {
 		t.Errorf("putfield count = %d", n)
 	}
-	if names := low.Prog.SortedFuncNames(); len(names) != 2 || names[0] != "A.m" {
-		t.Errorf("sorted names = %v", names)
-	}
 	if low.Prog.FuncByName("missing") != nil {
 		t.Error("FuncByName should return nil for unknown names")
 	}

@@ -16,7 +16,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"racedet/internal/lang/sem"
@@ -338,25 +337,6 @@ func (f *Func) Targets(in *Instr) []*Block { return in.targets }
 // only; nil otherwise).
 func (in *Instr) Targets() []*Block { return in.targets }
 
-// RecomputeEdges rebuilds Preds/Succs from terminator targets; the
-// instrumentation phases call it after CFG surgery.
-func (f *Func) RecomputeEdges() {
-	for _, b := range f.Blocks {
-		b.Preds = b.Preds[:0]
-		b.Succs = b.Succs[:0]
-	}
-	for _, b := range f.Blocks {
-		t := b.Terminator()
-		if t == nil {
-			continue
-		}
-		for _, s := range t.targets {
-			b.Succs = append(b.Succs, s)
-			s.Preds = append(s.Preds, b)
-		}
-	}
-}
-
 // ReachableBlocks returns the set of blocks reachable from entry in
 // reverse-postorder.
 func (f *Func) ReachableBlocks() []*Block {
@@ -502,14 +482,4 @@ func (f *Func) CountInstrs(pred func(*Instr) bool) int {
 		}
 	}
 	return n
-}
-
-// SortedFuncNames lists function names in sorted order (test helper).
-func (p *Program) SortedFuncNames() []string {
-	names := make([]string, 0, len(p.Funcs))
-	for _, f := range p.Funcs {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -105,12 +105,6 @@ func TestFuncConstruction(t *testing.T) {
 	if len(rb) != 2 || rb[0] != b0 {
 		t.Errorf("reachable = %v", rb)
 	}
-
-	// RecomputeEdges reproduces the same edges.
-	f.RecomputeEdges()
-	if len(b0.Succs) != 1 || b0.Succs[0] != b1 {
-		t.Error("RecomputeEdges lost the edge")
-	}
 }
 
 func TestUnreachableBlockExcluded(t *testing.T) {

@@ -14,8 +14,8 @@ import "fmt"
 // Kind identifies the lexical class of a token.
 type Kind int
 
-// Token kinds. Keyword kinds are kept contiguous so IsKeyword can be a
-// range test.
+// Token kinds. Keyword kinds are kept contiguous so Lookup's table can
+// be built from a range.
 const (
 	ILLEGAL Kind = iota
 	EOF
@@ -179,9 +179,6 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
-
-// IsKeyword reports whether the kind is a reserved word.
-func (k Kind) IsKeyword() bool { return k > keywordBegin && k < keywordEnd }
 
 // IsLiteral reports whether the kind carries a literal value.
 func (k Kind) IsLiteral() bool {

@@ -38,9 +38,6 @@ func TestLookupKeywords(t *testing.T) {
 }
 
 func TestKindPredicates(t *testing.T) {
-	if !CLASS.IsKeyword() || IDENT.IsKeyword() || PLUS.IsKeyword() {
-		t.Error("IsKeyword misclassifies")
-	}
 	for _, k := range []Kind{IDENT, INT, STRING, CHAR} {
 		if !k.IsLiteral() {
 			t.Errorf("%v should be a literal", k)

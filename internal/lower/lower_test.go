@@ -25,7 +25,7 @@ func fn(t *testing.T, res *Result, name string) *ir.Func {
 	t.Helper()
 	f := res.Prog.FuncByName(name)
 	if f == nil {
-		t.Fatalf("no function %s; have %v", name, res.Prog.SortedFuncNames())
+		t.Fatalf("no function %s", name)
 	}
 	return f
 }

@@ -169,12 +169,6 @@ func (r *Result) MustPts(fn *ir.Func, reg int) *AbsObj {
 	return nil
 }
 
-// SingleInstanceFn reports whether fn executes at most once per run.
-func (r *Result) SingleInstanceFn(fn *ir.Func) bool { return r.singleFn[fn] }
-
-// InLoop reports whether b lies on an intraprocedural CFG cycle.
-func (r *Result) InLoop(b *ir.Block) bool { return r.loopy[b] }
-
 // SingleInstanceInstr reports whether the instruction executes at most
 // once per run: its function is single-instance and its block is not
 // in a loop.

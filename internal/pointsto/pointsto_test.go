@@ -206,10 +206,10 @@ class M {
 	prog, res := analyze(t, src)
 	onceFn := prog.FuncByName("M.once")
 	manyFn := prog.FuncByName("M.many")
-	if !res.SingleInstanceFn(onceFn) {
+	if !res.singleFn[onceFn] {
 		t.Error("once() must be single-instance")
 	}
-	if res.SingleInstanceFn(manyFn) {
+	if res.singleFn[manyFn] {
 		t.Error("many() is called from a loop: not single-instance")
 	}
 	// MustPts: the receiver of a.v write must be a must pointer.
@@ -255,7 +255,7 @@ class M {
 }`
 	prog, res := analyze(t, src)
 	f := prog.FuncByName("M.f")
-	if res.SingleInstanceFn(f) {
+	if res.singleFn[f] {
 		t.Error("recursive function cannot be single-instance")
 	}
 }
@@ -273,7 +273,7 @@ class M {
 	main := prog.FuncByName("M.main")
 	loopy, straight := 0, 0
 	for _, b := range main.ReachableBlocks() {
-		if res.InLoop(b) {
+		if res.loopy[b] {
 			loopy++
 		} else {
 			straight++

@@ -271,6 +271,3 @@ func canonical(cycle []event.ObjID) string {
 	}
 	return strings.Join(parts, ">")
 }
-
-// EdgeCount reports the number of distinct lock-order edges observed.
-func (d *Detector) EdgeCount() int { return len(d.edges) }

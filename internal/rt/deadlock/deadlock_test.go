@@ -112,8 +112,8 @@ func TestReentrancyIgnored(t *testing.T) {
 	d.MonitorExit(1, 20, 0)
 	d.MonitorExit(1, 10, 1)
 	d.MonitorExit(1, 10, 0)
-	if d.EdgeCount() != 1 {
-		t.Errorf("edges = %d, want just 10->20", d.EdgeCount())
+	if len(d.edges) != 1 {
+		t.Errorf("edges = %d, want just 10->20", len(d.edges))
 	}
 }
 

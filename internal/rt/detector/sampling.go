@@ -29,7 +29,7 @@
 //     - forwarded but not tracked as shared (bounded-table overflow,
 //     born-shared): never suppressed — the unsampled run ships every
 //     such access and overflow locations emit no contact signal;
-//     - shared and suppressible (see sitestate.CanSuppress): suppress
+//     - shared and suppressible (see sitestate.Table.Touch): suppress
 //     and remember the touch;
 //     - shared and racy-shaped: the site stays demoted and the access
 //     rides the cache — a hit is absorbed exactly as in the

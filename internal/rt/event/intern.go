@@ -1,7 +1,7 @@
 // Lockset interning: hash-consing locksets into dense LocksetIDs so
 // that access events carry one integer instead of a slice, equality is
-// pointer-free ID comparison, and the subset/intersection relations the
-// detector keeps re-deriving are answered from a memoized relation
+// pointer-free ID comparison, and the intersection relation the
+// detector keeps re-deriving is answered from a memoized relation
 // table. The intern table lives for one run (one Interner per detector
 // back end), so IDs stay small and dense and the memo tables stay hot.
 //
@@ -18,12 +18,11 @@ type LocksetID uint32
 // EmptyLocksetID is the interned identity of the empty lockset.
 const EmptyLocksetID LocksetID = 0
 
-// Interner hash-conses locksets and memoizes the binary relations on
-// them. It is not safe for concurrent use; each detector owns its own.
+// Interner hash-conses locksets and memoizes the intersection relation
+// on them. It is not safe for concurrent use; each detector owns its own.
 type Interner struct {
 	sets    []Lockset              // id → canonical set; sets[0] = ∅
 	buckets map[uint64][]LocksetID // content hash → candidate ids
-	subset  map[uint64]bool        // pack(a,b) → a ⊆ b
 	inter   map[uint64]bool        // pack(a,b) → a ∩ b ≠ ∅
 	scratch Lockset                // canonicalization buffer (reused)
 }
@@ -95,23 +94,6 @@ func (it *Interner) InternCanonical(ls Lockset) LocksetID {
 
 // pack builds the memo key for an ordered ID pair.
 func pack(a, b LocksetID) uint64 { return uint64(a)<<32 | uint64(b) }
-
-// Subset reports sets[a] ⊆ sets[b], memoized.
-func (it *Interner) Subset(a, b LocksetID) bool {
-	if a == b || a == EmptyLocksetID {
-		return true
-	}
-	if it.subset == nil {
-		it.subset = make(map[uint64]bool)
-	}
-	key := pack(a, b)
-	if v, ok := it.subset[key]; ok {
-		return v
-	}
-	v := it.sets[a].SubsetOf(it.sets[b])
-	it.subset[key] = v
-	return v
-}
 
 // Intersects reports sets[a] ∩ sets[b] ≠ ∅, memoized.
 func (it *Interner) Intersects(a, b LocksetID) bool {

@@ -127,15 +127,3 @@ func (d *Detector) Reports() []FieldReport {
 	sort.Slice(out, func(i, j int) bool { return out[i].Field < out[j].Field })
 	return out
 }
-
-// ImmutableFields lists just the fields whose every shared location
-// was init-only (candidates for a final/immutable annotation).
-func (d *Detector) ImmutableFields() []string {
-	var out []string
-	for _, r := range d.Reports() {
-		if r.ObservedImmutable() {
-			out = append(out, r.Field)
-		}
-	}
-	return out
-}

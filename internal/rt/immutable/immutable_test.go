@@ -15,6 +15,18 @@ func acc(t event.ThreadID, obj int64, field string, k event.Kind) event.Access {
 	}
 }
 
+// ImmutableFields lists just the fields whose every shared location
+// was init-only (candidates for a final/immutable annotation).
+func (d *Detector) ImmutableFields() []string {
+	var out []string
+	for _, r := range d.Reports() {
+		if r.ObservedImmutable() {
+			out = append(out, r.Field)
+		}
+	}
+	return out
+}
+
 func TestInitOnlyPublishIsImmutable(t *testing.T) {
 	d := New()
 	// Main writes, children only read: the publish idiom.

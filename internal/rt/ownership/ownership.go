@@ -33,9 +33,8 @@ type cell struct {
 
 // Table tracks per-location owners.
 type Table struct {
-	cells       loctab.Table[cell]
-	locations   int // cells in state Owned or Shared
-	transitions uint64
+	cells     loctab.Table[cell]
+	locations int // cells in state Owned or Shared
 
 	// maxLocations caps the table (0 = unbounded). Locations that
 	// arrive once the table is full are never tracked: they behave as
@@ -88,7 +87,6 @@ func (tb *Table) Filter(t event.ThreadID, loc event.Loc) (forward, becameShared 
 		// Second thread: the location becomes shared; this access and
 		// all subsequent ones go to the detector.
 		c.state = Shared
-		tb.transitions++
 		if tb.onContact != nil {
 			tb.onContact(loc)
 		}
@@ -106,12 +104,6 @@ func (tb *Table) StateOf(loc event.Loc) State {
 	}
 	return Unowned
 }
-
-// SharedCount returns how many locations have become shared.
-func (tb *Table) SharedCount() int { return int(tb.transitions) }
-
-// Transitions returns the number of owned→shared transitions.
-func (tb *Table) Transitions() uint64 { return tb.transitions }
 
 // Locations returns the number of tracked locations (space metric).
 func (tb *Table) Locations() int { return tb.locations }

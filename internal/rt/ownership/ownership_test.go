@@ -50,9 +50,6 @@ func TestStateMachine(t *testing.T) {
 			t.Fatalf("post-share %v: fwd=%v became=%v", tid, fwd, became)
 		}
 	}
-	if tb.Transitions() != 1 {
-		t.Errorf("transitions = %d", tb.Transitions())
-	}
 }
 
 func TestLocationsIndependent(t *testing.T) {
@@ -81,8 +78,14 @@ func TestSharedCount(t *testing.T) {
 	}
 	tb.Filter(2, loc(1))
 	tb.Filter(2, loc(2))
-	if tb.SharedCount() != 2 {
-		t.Errorf("shared count = %d, want 2", tb.SharedCount())
+	shared := 0
+	for i := int64(1); i <= 4; i++ {
+		if tb.StateOf(loc(i)) == Shared {
+			shared++
+		}
+	}
+	if shared != 2 {
+		t.Errorf("shared count = %d, want 2", shared)
 	}
 }
 
@@ -195,9 +198,9 @@ func TestMatchesMapReference(t *testing.T) {
 				t.Fatalf("max %d step %d: transition on %v did not fire contact", max, i, l)
 			}
 		}
-		if tb.Locations() != len(ref.owner) || tb.Transitions() != ref.transitions || tb.Overflows() != ref.overflows {
-			t.Fatalf("max %d: locations/transitions/overflows = %d/%d/%d, reference %d/%d/%d", max,
-				tb.Locations(), tb.Transitions(), tb.Overflows(), len(ref.owner), ref.transitions, ref.overflows)
+		if tb.Locations() != len(ref.owner) || tb.Overflows() != ref.overflows {
+			t.Fatalf("max %d: locations/overflows = %d/%d, reference %d/%d", max,
+				tb.Locations(), tb.Overflows(), len(ref.owner), ref.overflows)
 		}
 		if uint64(len(contacts)) != ref.transitions {
 			t.Fatalf("max %d: %d contacts for %d transitions", max, len(contacts), ref.transitions)

@@ -164,7 +164,7 @@ type state struct {
 // sites touched it (a 64-bit Bloom-style site signature, so an
 // ownership contact can re-arm them) and which threads read / wrote
 // it (exact bitmasks for thread ids below 64; larger ids never
-// suppress, see threadBit). CanSuppress consults the masks so that a
+// suppress, see threadBit). canSuppress consults the masks so that a
 // write meeting foreign touchers — or any access meeting a foreign
 // writer — is never suppressed.
 type touchEntry struct {
@@ -464,13 +464,14 @@ func (st *Table) RecordShip(loc event.Loc, t event.ThreadID, write, unlocked boo
 	}
 }
 
-// CanSuppress reports whether a stub access by t (a write iff write)
-// on loc is suppressible: suppression must not hide half of a
-// potential race pair, against either concurrent suppressed traffic
-// or the trie's memory of shipped events:
+// canSuppress reports whether a stub access by t (a write iff write)
+// on a location with state r is suppressible: suppression must not
+// hide half of a potential race pair, against either concurrent
+// suppressed traffic or the trie's memory of shipped events:
 //
 //   - a location whose shipped history already proves a race (see
 //     shipEntry.proven) suppresses everything — any thread, any kind;
+//     callers check that first, this function assumes it does not;
 //   - a write is only suppressible when t is the location's sole
 //     suppressed toucher AND its sole shipped toucher;
 //   - a read only when no foreign writer touched the location, either
@@ -478,16 +479,6 @@ func (st *Table) RecordShip(loc event.Loc, t event.ThreadID, write, unlocked boo
 //
 // It also refuses for unrepresentable threads and when recording
 // would overflow the touch index. It does not mutate the table.
-func (st *Table) CanSuppress(loc event.Loc, t event.ThreadID, write bool) bool {
-	r := st.locs.Get(loc)
-	if r == nil {
-		r = new(locState)
-	}
-	return r.ship.proven() || st.canSuppress(r, t, write)
-}
-
-// canSuppress is CanSuppress for a location whose shipped history
-// does not prove a race.
 func (st *Table) canSuppress(r *locState, t event.ThreadID, write bool) bool {
 	bit, repr := threadBit(t)
 	if !repr {
@@ -505,7 +496,8 @@ func (st *Table) canSuppress(r *locState, t event.ThreadID, write bool) bool {
 
 // Touch records a suppressed stub access: site id by thread t on loc,
 // a write iff write. It returns false — the caller must forward the
-// access instead of suppressing it — exactly when CanSuppress does.
+// access instead of suppressing it — exactly when canSuppress does on
+// a location whose shipped history proves no race.
 func (st *Table) Touch(id int32, loc event.Loc, t event.ThreadID, write bool) bool {
 	r := st.locs.Get(loc)
 	absent := r == nil

@@ -8,6 +8,16 @@ import (
 	"racedet/internal/rt/event"
 )
 
+// CanSuppress is Touch's verdict without the recording: whether a
+// stub access by t (a write iff write) on loc is suppressible.
+func (st *Table) CanSuppress(loc event.Loc, t event.ThreadID, write bool) bool {
+	r := st.locs.Get(loc)
+	if r == nil {
+		r = new(locState)
+	}
+	return r.ship.proven() || st.canSuppress(r, t, write)
+}
+
 func pos(line int32) token.Pos { return token.Pos{File: "t.mj", Line: line, Col: 1} }
 
 func TestSiteInterning(t *testing.T) {

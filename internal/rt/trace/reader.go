@@ -85,9 +85,6 @@ func (r *Reader) Size() int64 { return int64(len(r.data)) }
 // Version returns the trace format version.
 func (r *Reader) Version() int { return int(r.version) }
 
-// Locksets returns the number of interned locksets (including ∅).
-func (r *Reader) Locksets() int { return len(r.locksets) }
-
 // Lockset returns interned lockset id (the recording-side interner's
 // dense identity, as referenced by access-block headers).
 func (r *Reader) Lockset(id event.LocksetID) event.Lockset { return r.locksets[id] }

@@ -168,14 +168,14 @@ func TestLocksetTableRecorded(t *testing.T) {
 	// The access ran under {pseudolock(0), lock 100}; that set must be
 	// in the table and referenced by the block.
 	found := false
-	for id := 0; id < r.Locksets(); id++ {
+	for id := range r.locksets {
 		ls := r.Lockset(event.LocksetID(id))
 		if ls.Contains(100) && ls.Contains(event.PseudoLock(0)) {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("lockset table %d entries, none contains {S0, o100}", r.Locksets())
+		t.Fatalf("lockset table %d entries, none contains {S0, o100}", len(r.locksets))
 	}
 }
 

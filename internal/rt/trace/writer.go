@@ -111,9 +111,6 @@ func (w *Writer) SetDescribeObj(fn func(event.ObjID) string) { w.describe = fn }
 // Err returns the sticky write error, if any.
 func (w *Writer) Err() error { return w.err }
 
-// TotalEvents returns the number of events recorded so far.
-func (w *Writer) TotalEvents() uint64 { return w.totalEvents }
-
 func (w *Writer) write(b []byte) {
 	if w.err != nil || w.finalized {
 		return

@@ -6,11 +6,9 @@ package service
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -80,55 +78,6 @@ func (c *Client) Analyze(req JobRequest) (*JobResult, error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("racedetd: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
-}
-
-// AnalyzeRetry submits a job, honoring load-shed Retry-After hints up
-// to the given number of additional attempts. Retried submissions are
-// at-least-once: set JobRequest.IdempotencyKey so a job whose first
-// acknowledgment was lost is answered from the stored result instead
-// of being analyzed twice.
-func (c *Client) AnalyzeRetry(req JobRequest, retries int) (*JobResult, error) {
-	return c.AnalyzeRetryCtx(context.Background(), req, retries)
-}
-
-// AnalyzeRetryCtx is AnalyzeRetry with cancellation: a context that
-// expires during a backoff sleep aborts the remaining attempts with
-// ctx.Err(). Each sleep jitters the daemon's Retry-After hint (see
-// retryDelay) so shed clients do not re-stampede in lockstep.
-func (c *Client) AnalyzeRetryCtx(ctx context.Context, req JobRequest, retries int) (*JobResult, error) {
-	var last error
-	for i := 0; i <= retries; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := c.Analyze(req)
-		if err == nil {
-			return res, nil
-		}
-		last = err
-		u, ok := err.(*Unavailable)
-		if !ok || u.RetryAfter <= 0 {
-			return nil, err
-		}
-		t := time.NewTimer(retryDelay(u.RetryAfter))
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
-		}
-	}
-	return nil, last
-}
-
-// retryDelay spreads a Retry-After hint over [d/2, 3d/2) so clients
-// shed at the same instant come back staggered instead of as a
-// synchronized thundering herd.
-func retryDelay(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
 // Health returns nil while the daemon admits jobs and *Unavailable

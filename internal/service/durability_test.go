@@ -4,7 +4,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
@@ -116,17 +115,16 @@ func TestWalAdmitFailureLoadSheds(t *testing.T) {
 	// must refuse the job with a retryable 503 — never acknowledge an
 	// analysis the daemon could not make durable.
 	s, c, _, stop := stateServer(t, t.TempDir(), Options{
-		RetryAfter: time.Hour, // park retries so the ctx test below owns timing
+		RetryAfter: time.Hour,
 		Faults:     mustPlan(t, "shortwrite:disk=wal,at=2"),
 	})
 	defer stop()
 
 	req := JobRequest{File: "racy.mj", Source: racyProg, IdempotencyKey: "torn"}
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-	defer cancel()
-	_, err := c.AnalyzeRetryCtx(ctx, req, 3)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("retry under an expiring context: err = %v, want deadline exceeded", err)
+	_, err := c.Analyze(req)
+	var u *Unavailable
+	if !errors.As(err, &u) || u.RetryAfter != time.Hour {
+		t.Fatalf("torn admit: err = %v, want a 503 with Retry-After 1h", err)
 	}
 
 	// The fault was one-shot: a client retry (at-least-once) succeeds,
@@ -392,18 +390,5 @@ func TestDrainAbortMidReplayLeavesWalIncomplete(t *testing.T) {
 	}
 	if m := s2.Metrics(); m.JobsRecovered != 1 {
 		t.Errorf("jobs_recovered = %d, want 1", m.JobsRecovered)
-	}
-}
-
-func TestRetryDelayJitterBounds(t *testing.T) {
-	d := 10 * time.Second
-	for i := 0; i < 1000; i++ {
-		got := retryDelay(d)
-		if got < d/2 || got >= d+d/2 {
-			t.Fatalf("retryDelay(%v) = %v, outside [%v, %v)", d, got, d/2, d+d/2)
-		}
-	}
-	if retryDelay(0) != 0 {
-		t.Error("retryDelay(0) != 0")
 	}
 }

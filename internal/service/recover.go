@@ -13,7 +13,7 @@
 //     scheduler makes the re-run verdict byte-identical to the one the
 //     crash destroyed.
 //   - neither         → the job was never acknowledged; the client's
-//     retry (Client.AnalyzeRetry is at-least-once) is the recovery.
+//     retry (at-least-once, with an idempotency key) is the recovery.
 package service
 
 import (

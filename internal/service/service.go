@@ -299,18 +299,6 @@ func (s *Server) Metrics() Snapshot {
 	return snap
 }
 
-// Jobs returns a copy of the job journal, sorted by job index.
-func (s *Server) Jobs() []JobRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobRecord, 0, len(s.journal))
-	for _, r := range s.journal {
-		out = append(out, *r)
-	}
-	sortJobs(out)
-	return out
-}
-
 func sortJobs(rs []JobRecord) {
 	for i := 1; i < len(rs); i++ {
 		for j := i; j > 0 && rs[j].Job < rs[j-1].Job; j-- {

@@ -17,6 +17,18 @@ import (
 	"racedet/internal/faultinject"
 )
 
+// Jobs returns a copy of the job journal, sorted by job index.
+func (s *Server) Jobs() []JobRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]JobRecord, 0, len(s.journal))
+	for _, r := range s.journal {
+		out = append(out, *r)
+	}
+	sortJobs(out)
+	return out
+}
+
 const racyProg = `
 class Data { int f; }
 class Worker extends Thread {

@@ -95,9 +95,6 @@ func (t *DomTree) intersect(a, b *ir.Block) *ir.Block {
 	return a
 }
 
-// Idom returns the immediate dominator of b (nil for the entry block).
-func (t *DomTree) Idom(b *ir.Block) *ir.Block { return t.idom[b.ID] }
-
 // Children returns the blocks immediately dominated by b.
 func (t *DomTree) Children(b *ir.Block) []*ir.Block { return t.children[b.ID] }
 

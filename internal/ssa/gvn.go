@@ -217,16 +217,3 @@ func (g *ValueNumbering) ParamVN(i int) VN {
 	}
 	return v
 }
-
-// DefVN returns the value number of the definition made by in.
-func (g *ValueNumbering) DefVN(in *ir.Instr) VN {
-	id, ok := g.ov.DefOf[in]
-	if !ok {
-		return NoVN
-	}
-	v, ok := g.vn[id]
-	if !ok {
-		return NoVN
-	}
-	return v
-}

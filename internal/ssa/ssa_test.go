@@ -10,6 +10,19 @@ import (
 	"racedet/internal/lower"
 )
 
+// DefVN returns the value number of the definition made by in.
+func (g *ValueNumbering) DefVN(in *ir.Instr) VN {
+	id, ok := g.ov.DefOf[in]
+	if !ok {
+		return NoVN
+	}
+	v, ok := g.vn[id]
+	if !ok {
+		return NoVN
+	}
+	return v
+}
+
 // buildFn lowers src and returns the named function.
 func buildFn(t *testing.T, src, name string) *ir.Func {
 	t.Helper()
@@ -97,7 +110,7 @@ func TestIdomProperties(t *testing.T) {
 	f := buildFn(t, cfgHeavy, "A.m")
 	dom := BuildDomTree(f)
 	for _, b := range dom.RPO() {
-		id := dom.Idom(b)
+		id := dom.idom[b.ID]
 		if b == f.Entry {
 			if id != nil {
 				t.Error("entry must have no idom")

@@ -60,7 +60,7 @@ func TestTracedSetReplayRoundtrip(t *testing.T) {
 	prog := build(t, roundtripSrc)
 	m := prog.FuncByName("B.m")
 	instrument.InsertTraces(m, nil)
-	if instrument.EliminateRedundant(m) == 0 {
+	if n, _ := instrument.EliminateProgramWith(prog, nil, nil); n == 0 {
 		t.Fatal("expected eliminations in B.m")
 	}
 	traced := TracedSet(m)
