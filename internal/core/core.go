@@ -341,6 +341,11 @@ type Pipeline struct {
 	// concurrent workers.
 	hintOnce  sync.Once
 	hintIndex map[string][]string
+
+	// codeOnce/code memoize the interpreter's decoded form of Prog,
+	// built on the first run and shared read-only by every later one.
+	codeOnce sync.Once
+	code     *interp.Code
 }
 
 // Compile runs phases 1–2 of Figure 1 (static analysis and optimized
@@ -799,7 +804,7 @@ func (p *Pipeline) RunConfig(cfg Config) (*RunResult, error) {
 	if cfg.Timeout > 0 {
 		iopts.Deadline = time.Now().Add(cfg.Timeout)
 	}
-	machine := interp.New(p.Prog, iopts)
+	machine := interp.New(p.interpCode(), iopts)
 	if det != nil {
 		det.SetDescribeObj(machine.DescribeObj)
 	}
@@ -834,6 +839,13 @@ func (p *Pipeline) RunConfig(cfg Config) (*RunResult, error) {
 		rr.StaticHints = p.staticHints(rr.Reports)
 	}
 	return rr, nil
+}
+
+// interpCode returns the program decoded for the interpreter, decoding
+// it on first use.
+func (p *Pipeline) interpCode() *interp.Code {
+	p.codeOnce.Do(func() { p.code = interp.Decode(p.Prog) })
+	return p.code
 }
 
 // detectorSinks bundles one run's detector stack — the configured

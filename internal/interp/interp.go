@@ -67,6 +67,8 @@ type Object struct {
 	// Thread-object state.
 	thread  *Thread // the running thread, once started
 	started bool
+
+	cls *classCode // dispatch table of instances made by new
 }
 
 // Describe renders the object for race reports.
@@ -113,12 +115,11 @@ type Thread struct {
 }
 
 type frame struct {
-	fn      *ir.Func
+	code    *funcCode
 	regs    []Value
-	block   *ir.Block
-	pc      int
-	retReg  int // register in the caller frame receiving the return value
-	regBase int // offset of this frame's register window in the arena
+	pc      int   // flat index into code.ops
+	retReg  int32 // register in the caller frame receiving the return value
+	regBase int   // offset of this frame's register window in the arena
 }
 
 // pushWindow carves an n-register zeroed window off the thread's
@@ -275,14 +276,14 @@ type AccessFastPath interface {
 
 // Machine executes one program.
 type Machine struct {
-	prog *ir.Program
+	code *Code
 	opts Options
 	sink event.Sink
 	fast AccessFastPath // non-nil when sink implements AccessFastPath
 	out  io.Writer
 
 	threads   []*Thread
-	classObjs map[*sem.Class]*Object
+	classObjs []*Object // by class-object slot, created on first use
 	objects   []*Object // index = ObjID-1 (IDs are dense, starting at 1)
 	nextObj   event.ObjID
 	rngState  uint64
@@ -304,14 +305,17 @@ type Machine struct {
 	// cur is the thread currently holding the scheduler slice; panic
 	// recovery attributes the failure to it.
 	cur *Thread
+	// sliceBase is cur.steps when its slice began. A slice counts
+	// steps in cur.steps alone; settleSteps adds them to res.Steps.
+	sliceBase uint64
 	// sched accumulates the schedule trace when RecordSchedule is set.
 	sched *ScheduleTrace
 	// replayIdx is the cursor into opts.Replay.Slices.
 	replayIdx int
 }
 
-// New prepares a machine for the lowered program.
-func New(prog *ir.Program, opts Options) *Machine {
+// New prepares a machine for the decoded program.
+func New(code *Code, opts Options) *Machine {
 	if opts.Sink == nil {
 		opts.Sink = event.NullSink{}
 	}
@@ -325,11 +329,11 @@ func New(prog *ir.Program, opts Options) *Machine {
 		opts.MaxSteps = 200_000_000
 	}
 	m := &Machine{
-		prog:      prog,
+		code:      code,
 		opts:      opts,
 		sink:      opts.Sink,
 		out:       opts.Out,
-		classObjs: make(map[*sem.Class]*Object),
+		classObjs: make([]*Object, len(code.classOf)),
 		nextObj:   1,
 		rngState:  uint64(opts.Seed)*2654435761 + 1,
 	}
@@ -389,6 +393,7 @@ func (m *Machine) rand() uint64 {
 func (m *Machine) Run() (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			m.settleSteps()
 			re := &RuntimeError{
 				Kind: ErrPanic,
 				Msg:  fmt.Sprintf("interpreter panic: %v", r),
@@ -400,16 +405,15 @@ func (m *Machine) Run() (res Result, err error) {
 			res, err = m.res, re
 		}
 	}()
-	mainFn := m.prog.FuncOf[m.prog.Sem.Main]
+	mainFn := m.code.main
 	if mainFn == nil {
 		return m.res, fmt.Errorf("interp: program has no lowered main")
 	}
 	main := &Thread{ID: 0}
-	mregs, mbase := main.pushWindow(mainFn.NumRegs)
+	mregs, mbase := main.pushWindow(mainFn.numRegs)
 	main.frames = append(main.frames, frame{
-		fn:      mainFn,
+		code:    mainFn,
 		regs:    mregs,
-		block:   mainFn.Entry,
 		retReg:  ir.NoReg,
 		regBase: mbase,
 	})
@@ -435,28 +439,20 @@ func (m *Machine) Run() (res Result, err error) {
 		if m.opts.SliceHook != nil {
 			m.opts.SliceHook(slice)
 		}
-		m.cur = t
+		m.cur, m.sliceBase = t, t.steps
 		progressBefore := m.progress
 		m.yield = false
-		for i := 0; i < quantum && t.state == stateRunnable && !m.yield; {
-			if m.step(t) {
-				// Trace pseudo-instructions do not consume quantum:
-				// instrumentation must not perturb the schedule, so
-				// every configuration of the same program preempts at
-				// identical program points (making reports comparable
-				// across ablations).
-				i++
-			}
-			if m.err != nil {
-				return m.res, m.err
-			}
-			if m.res.Steps >= m.opts.MaxSteps {
-				return m.res, &RuntimeError{
-					Kind:   ErrStepBudget,
-					Thread: t.ID,
-					Msg:    fmt.Sprintf("step budget exhausted after %d instructions (possible livelock)", m.res.Steps),
-					Dump:   m.threadDump(),
-				}
+		m.runSlice(t, quantum)
+		m.settleSteps()
+		if m.err != nil {
+			return m.res, m.err
+		}
+		if m.res.Steps >= m.opts.MaxSteps {
+			return m.res, &RuntimeError{
+				Kind:   ErrStepBudget,
+				Thread: t.ID,
+				Msg:    fmt.Sprintf("step budget exhausted after %d instructions (possible livelock)", m.res.Steps),
+				Dump:   m.threadDump(),
 			}
 		}
 		m.res.ContextSwaps++
@@ -503,6 +499,14 @@ func (m *Machine) Run() (res Result, err error) {
 		}
 	}
 	return m.res, nil
+}
+
+// settleSteps adds the steps cur took since sliceBase to res.Steps.
+func (m *Machine) settleSteps() {
+	if m.cur != nil {
+		m.res.Steps += m.cur.steps - m.sliceBase
+		m.sliceBase = m.cur.steps
+	}
 }
 
 // nextSlice chooses the next thread and quantum: from the replay trace
@@ -561,9 +565,10 @@ func (m *Machine) threadDump() string {
 		loc := "-"
 		if len(t.frames) > 0 {
 			f := t.frames[len(t.frames)-1]
-			loc = fmt.Sprintf("%s b%d pc%d", f.fn.Name, f.block.ID, f.pc)
-			if f.pc < len(f.block.Instrs) {
-				loc += " " + f.block.Instrs[f.pc].Op.String()
+			b, pc := f.code.where(f.pc)
+			loc = fmt.Sprintf("%s b%d pc%d", f.code.fn.Name, b.ID, pc)
+			if pc < len(b.Instrs) {
+				loc += " " + b.Instrs[pc].Op.String()
 			}
 		}
 		fmt.Fprintf(&b, "[%s %s steps=%d at %s] ", t.ID, st, t.steps, loc)
@@ -585,7 +590,10 @@ func (m *Machine) pickRunnable(cur *int) *Thread {
 		*cur = int(m.rand() % uint64(n))
 	}
 	for i := 1; i <= n; i++ {
-		idx := (*cur + i) % n
+		idx := *cur + i // (*cur + i) mod n, as *cur < n
+		if idx >= n {
+			idx -= n
+		}
 		t := m.threads[idx]
 		if t.state == stateRunnable {
 			*cur = idx
@@ -605,11 +613,12 @@ func (m *Machine) fail(t *Thread, pos token.Pos, format string, args ...interfac
 // ---------------------------------------------------------------------------
 // Heap
 
-func (m *Machine) allocObject(cl *sem.Class, pos token.Pos) *Object {
+func (m *Machine) allocObject(cc *classCode, pos token.Pos) *Object {
 	o := &Object{
-		Class:    cl,
-		Fields:   make([]Value, len(cl.InstanceSlots())),
+		Class:    cc.class,
+		Fields:   make([]Value, cc.nfields),
 		AllocPos: pos,
+		cls:      cc,
 	}
 	m.register(o)
 	m.res.ObjectsMade++
@@ -630,284 +639,330 @@ func (m *Machine) allocArray(elem sem.Type, n int64, pos token.Pos) *Object {
 	return o
 }
 
-// classObject returns (creating on first use) the class object holding
-// cl's static fields and serving as the lock of static synchronized
-// methods.
-func (m *Machine) classObject(cl *sem.Class) *Object {
-	if o := m.classObjs[cl]; o != nil {
+// classObject returns (creating on first use) the class object in the
+// given slot, which holds the class's static fields and serves as the
+// lock of its static synchronized methods.
+func (m *Machine) classObject(slot int32) *Object {
+	if o := m.classObjs[slot]; o != nil {
 		return o
 	}
+	cl := m.code.classOf[slot]
 	o := &Object{
 		Class:   cl,
 		IsClass: true,
 		Fields:  make([]Value, len(cl.StaticSlots())),
 	}
 	m.register(o)
-	m.classObjs[cl] = o
+	m.classObjs[slot] = o
 	return o
 }
 
 // ---------------------------------------------------------------------------
 // Execution
 
-// step executes one instruction of t and reports whether it counts
-// toward the scheduling quantum (trace pseudo-instructions do not; see
-// Run).
-func (m *Machine) step(t *Thread) bool {
-	f := &t.frames[len(t.frames)-1]
-	if f.pc >= len(f.block.Instrs) {
-		m.fail(t, token.Pos{}, "fell off the end of block b%d in %s", f.block.ID, f.fn.Name)
-		return true
-	}
-	in := f.block.Instrs[f.pc]
-	m.res.Steps++
-	t.steps++
-	counts := in.Op != ir.OpTrace
+// runSlice runs t for one scheduler slice: up to quantum counted
+// instructions. Trace ops do not count: instrumentation must not
+// perturb the schedule, so every configuration of the same program
+// preempts at identical program points (making reports comparable
+// across ablations). The slice ends early when t blocks, finishes or
+// yields, when an instruction fails (m.err), or when the step budget
+// runs out; Run reports the last two. Steps are counted in t.steps
+// only (Run settles res.Steps after the slice).
+//
+// The current frame's ops, registers and pc live in locals for the
+// whole slice. fr.pc is written back whenever control leaves the loop
+// or calls out of it, so thread dumps, and panics raised by the sink,
+// see the instruction being executed.
+func (m *Machine) runSlice(t *Thread, quantum int) {
+	fr := &t.frames[len(t.frames)-1]
+	fc := fr.code
+	ops, regs, pc := fc.ops, fr.regs, fr.pc
+	limit := t.steps + (m.opts.MaxSteps - m.res.Steps)
+	for i := 0; i < quantum && t.steps < limit; i++ {
+		o := &ops[pc]
+		t.steps++
+		switch o.code {
+		case opConst:
+			regs[o.dst] = Value{I: o.imm}
+		case opStr:
+			regs[o.dst] = Value{Ref: &Object{Str: o.in.Str}}
+		case opMove:
+			regs[o.dst] = regs[o.a]
 
-	switch in.Op {
-	case ir.OpConst, ir.OpBoolConst:
-		f.regs[in.Dst] = Value{I: in.Value}
-	case ir.OpNull:
-		f.regs[in.Dst] = Value{}
-	case ir.OpStrConst:
-		f.regs[in.Dst] = Value{Ref: &Object{Str: in.Str}}
-	case ir.OpMove:
-		f.regs[in.Dst] = f.regs[in.Src[0]]
+		case opAdd:
+			regs[o.dst] = Value{I: regs[o.a].I + regs[o.b].I}
+		case opSub:
+			regs[o.dst] = Value{I: regs[o.a].I - regs[o.b].I}
+		case opMul:
+			regs[o.dst] = Value{I: regs[o.a].I * regs[o.b].I}
+		case opDiv:
+			d := regs[o.b].I
+			if d == 0 {
+				fr.pc = pc
+				m.fail(t, o.in.Pos, "division by zero")
+				return
+			}
+			regs[o.dst] = Value{I: regs[o.a].I / d}
+		case opMod:
+			d := regs[o.b].I
+			if d == 0 {
+				fr.pc = pc
+				m.fail(t, o.in.Pos, "division by zero (%%)")
+				return
+			}
+			regs[o.dst] = Value{I: regs[o.a].I % d}
+		case opEq:
+			a, b := regs[o.a], regs[o.b]
+			regs[o.dst] = BoolVal(a.I == b.I && a.Ref == b.Ref)
+		case opNeq:
+			a, b := regs[o.a], regs[o.b]
+			regs[o.dst] = BoolVal(a.I != b.I || a.Ref != b.Ref)
+		case opLt:
+			regs[o.dst] = BoolVal(regs[o.a].I < regs[o.b].I)
+		case opLeq:
+			regs[o.dst] = BoolVal(regs[o.a].I <= regs[o.b].I)
+		case opGt:
+			regs[o.dst] = BoolVal(regs[o.a].I > regs[o.b].I)
+		case opGeq:
+			regs[o.dst] = BoolVal(regs[o.a].I >= regs[o.b].I)
+		case opNeg:
+			regs[o.dst] = Value{I: -regs[o.a].I}
+		case opNot:
+			regs[o.dst] = BoolVal(!regs[o.a].Bool())
 
-	case ir.OpBin:
-		m.binOp(t, f, in)
-	case ir.OpNeg:
-		f.regs[in.Dst] = Value{I: -f.regs[in.Src[0]].I}
-	case ir.OpNot:
-		f.regs[in.Dst] = BoolVal(!f.regs[in.Src[0]].Bool())
+		case opNew:
+			regs[o.dst] = Value{Ref: m.allocObject(fc.classes[o.imm], o.in.Pos)}
+		case opNewArray:
+			n := regs[o.a].I
+			if n < 0 {
+				fr.pc = pc
+				m.fail(t, o.in.Pos, "negative array size %d", n)
+				return
+			}
+			regs[o.dst] = Value{Ref: m.allocArray(o.in.Elem, n, o.in.Pos)}
+		case opArrayLen:
+			arr := regs[o.a].Ref
+			if arr == nil {
+				fr.pc = pc
+				m.fail(t, o.in.Pos, "null pointer dereference (.length)")
+				return
+			}
+			regs[o.dst] = Value{I: int64(len(arr.Elems))}
+		case opClassRef:
+			regs[o.dst] = Value{Ref: m.classObject(o.x)}
 
-	case ir.OpNew:
-		f.regs[in.Dst] = Value{Ref: m.allocObject(in.Class, in.Pos)}
-	case ir.OpNewArray:
-		n := f.regs[in.Src[0]].I
-		if n < 0 {
-			m.fail(t, in.Pos, "negative array size %d", n)
-			return counts
-		}
-		f.regs[in.Dst] = Value{Ref: m.allocArray(in.Elem, n, in.Pos)}
-	case ir.OpArrayLen:
-		arr := f.regs[in.Src[0]].Ref
-		if arr == nil {
-			m.fail(t, in.Pos, "null pointer dereference (.length)")
-			return counts
-		}
-		f.regs[in.Dst] = Value{I: int64(len(arr.Elems))}
-	case ir.OpClassRef:
-		f.regs[in.Dst] = Value{Ref: m.classObject(in.Class)}
+		case opGetField:
+			obj := regs[o.a].Ref
+			if obj == nil {
+				fr.pc = pc
+				m.fail(t, o.in.Pos, "null pointer dereference (read of %s)", o.in.Field.QualifiedName())
+				return
+			}
+			regs[o.dst] = obj.Fields[o.x]
+		case opPutField:
+			obj := regs[o.a].Ref
+			if obj == nil {
+				fr.pc = pc
+				m.fail(t, o.in.Pos, "null pointer dereference (write of %s)", o.in.Field.QualifiedName())
+				return
+			}
+			obj.Fields[o.x] = regs[o.b]
+			m.progress++
+		case opGetStatic:
+			regs[o.dst] = m.classObject(o.y).Fields[o.x]
+		case opPutStatic:
+			m.classObject(o.y).Fields[o.x] = regs[o.a]
+			m.progress++
+		case opArrayLoad:
+			arr, idx := regs[o.a].Ref, regs[o.b].I
+			if arr == nil || idx < 0 || idx >= int64(len(arr.Elems)) {
+				fr.pc = pc
+				m.arrayFault(t, o, arr, idx, "read")
+				return
+			}
+			regs[o.dst] = arr.Elems[idx]
+		case opArrayStore:
+			arr, idx := regs[o.a].Ref, regs[o.b].I
+			if arr == nil || idx < 0 || idx >= int64(len(arr.Elems)) {
+				fr.pc = pc
+				m.arrayFault(t, o, arr, idx, "write")
+				return
+			}
+			arr.Elems[idx] = regs[o.c]
+			m.progress++
 
-	case ir.OpGetField:
-		obj := f.regs[in.Src[0]].Ref
-		if obj == nil {
-			m.fail(t, in.Pos, "null pointer dereference (read of %s)", in.Field.QualifiedName())
-			return counts
-		}
-		f.regs[in.Dst] = obj.Fields[in.Field.Index]
-	case ir.OpPutField:
-		obj := f.regs[in.Src[0]].Ref
-		if obj == nil {
-			m.fail(t, in.Pos, "null pointer dereference (write of %s)", in.Field.QualifiedName())
-			return counts
-		}
-		obj.Fields[in.Field.Index] = f.regs[in.Src[1]]
-		m.progress++
-	case ir.OpGetStatic:
-		f.regs[in.Dst] = m.classObject(in.Field.Class).Fields[in.Field.Index]
-	case ir.OpPutStatic:
-		m.classObject(in.Field.Class).Fields[in.Field.Index] = f.regs[in.Src[0]]
-		m.progress++
-	case ir.OpArrayLoad:
-		arr := f.regs[in.Src[0]].Ref
-		idx := f.regs[in.Src[1]].I
-		if arr == nil {
-			m.fail(t, in.Pos, "null pointer dereference (array read)")
-			return counts
-		}
-		if idx < 0 || idx >= int64(len(arr.Elems)) {
-			m.fail(t, in.Pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
-			return counts
-		}
-		f.regs[in.Dst] = arr.Elems[idx]
-	case ir.OpArrayStore:
-		arr := f.regs[in.Src[0]].Ref
-		idx := f.regs[in.Src[1]].I
-		if arr == nil {
-			m.fail(t, in.Pos, "null pointer dereference (array write)")
-			return counts
-		}
-		if idx < 0 || idx >= int64(len(arr.Elems)) {
-			m.fail(t, in.Pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
-			return counts
-		}
-		arr.Elems[idx] = f.regs[in.Src[2]]
-		m.progress++
+		case opCall, opCallVirtual:
+			fr.pc = pc
+			callee := m.callee(t, regs, fc, o)
+			if callee == nil {
+				return // failed
+			}
+			if callee.fn == nil {
+				// Explicit run() on a class that never overrides it: no-op.
+				break
+			}
+			if len(t.frames) >= 4096 {
+				m.fail(t, o.in.Pos, "stack overflow calling %s", callee.method.QualifiedName())
+				return
+			}
+			nregs, base := t.pushWindow(callee.numRegs)
+			for k, r := range fc.args[o.x : o.x+o.y] {
+				nregs[k] = regs[r]
+			}
+			fr.pc = pc + 1 // resume after the call on return
+			t.frames = append(t.frames, frame{code: callee, regs: nregs, retReg: o.dst, regBase: base})
+			fr = &t.frames[len(t.frames)-1]
+			fc, ops, regs, pc = callee, callee.ops, nregs, 0
+			continue
+		case opReturn:
+			var rv Value
+			if o.a != ir.NoReg {
+				rv = regs[o.a]
+			}
+			retReg := fr.retReg
+			t.frames = t.frames[:len(t.frames)-1]
+			t.popWindow(fr.regBase)
+			if len(t.frames) == 0 {
+				t.state = stateFinished
+				m.progress++
+				m.sink.ThreadFinished(t.ID)
+				m.wakeJoiners(t)
+				return
+			}
+			fr = &t.frames[len(t.frames)-1]
+			if retReg != ir.NoReg {
+				fr.regs[retReg] = rv
+			}
+			fc = fr.code
+			ops, regs, pc = fc.ops, fr.regs, fr.pc
+			continue
+		case opJump:
+			pc = int(o.x)
+			continue
+		case opBranch:
+			if regs[o.a].Bool() {
+				pc = int(o.x)
+			} else {
+				pc = int(o.y)
+			}
+			continue
 
-	case ir.OpCall:
-		m.call(t, f, in)
-		return counts // call manages pc itself
-	case ir.OpMonEnter:
-		if !m.monEnter(t, f, in) {
-			return counts // blocked; retry this instruction when woken
-		}
-	case ir.OpMonExit:
-		m.monExit(t, f, in)
-	case ir.OpStart:
-		m.startThread(t, f, in)
-	case ir.OpJoin:
-		if !m.join(t, f, in) {
-			return counts // waiting; retry when joinee finishes
-		}
-	case ir.OpWait:
-		if !m.monWait(t, f, in) {
-			return counts // parked or re-acquiring; retry on wake
-		}
-	case ir.OpNotify:
-		m.monNotify(t, f, in, false)
-	case ir.OpNotifyAll:
-		m.monNotify(t, f, in, true)
-	case ir.OpPrint:
-		m.print(f, in)
+		case opMonEnter:
+			fr.pc = pc
+			if !m.monEnter(t, regs[o.a].Ref, o) {
+				return // blocked or failed; retry this op when woken
+			}
+		case opMonExit:
+			fr.pc = pc
+			m.monExit(t, regs[o.a].Ref, o)
+			if m.err != nil {
+				return
+			}
+			if m.yield {
+				fr.pc = pc + 1
+				return
+			}
+		case opStart:
+			fr.pc = pc
+			m.startThread(t, regs[o.a].Ref, o)
+			if m.err != nil {
+				return
+			}
+		case opJoin:
+			fr.pc = pc
+			if !m.join(t, regs[o.a].Ref, o) {
+				return // waiting or failed; retry when the joinee finishes
+			}
+		case opWait:
+			fr.pc = pc
+			if !m.monWait(t, regs[o.a].Ref, o) {
+				return // parked, re-acquiring or failed; retry on wake
+			}
+		case opNotify, opNotifyAll:
+			fr.pc = pc
+			m.monNotify(t, regs[o.a].Ref, o, o.code == opNotifyAll)
+			if m.err != nil {
+				return
+			}
+		case opPrint:
+			m.print(regs, o)
 
-	case ir.OpTrace:
-		m.trace(t, f, in)
+		case opTraceField:
+			// Trace ops do not consume quantum; a nil reference means
+			// the access itself already failed.
+			i--
+			if obj := regs[o.a].Ref; obj != nil {
+				fr.pc = pc
+				m.trace(t, event.Loc{Obj: obj.ID, Slot: o.x}, o.kind, &fc.sites[o.imm])
+			}
+		case opTraceArray:
+			i--
+			if arr := regs[o.a].Ref; arr != nil {
+				fr.pc = pc
+				m.trace(t, event.Loc{Obj: arr.ID, Slot: event.ArraySlot}, o.kind, &fc.sites[o.imm])
+			}
+		case opTraceStatic:
+			i--
+			fr.pc = pc
+			m.trace(t, event.Loc{Obj: m.classObject(o.y).ID, Slot: o.x}, o.kind, &fc.sites[o.imm])
 
-	case ir.OpJump:
-		f.block = in.Targets()[0]
-		f.pc = 0
-		return counts
-	case ir.OpBranch:
-		targets := in.Targets()
-		if f.regs[in.Src[0]].Bool() {
-			f.block = targets[0]
-		} else {
-			f.block = targets[1]
-		}
-		f.pc = 0
-		return counts
-	case ir.OpReturn:
-		m.ret(t, f, in)
-		return counts
-
-	default:
-		m.fail(t, in.Pos, "unhandled instruction %s", in.Op)
-		return counts
-	}
-	f.pc++
-	return counts
-}
-
-func (m *Machine) binOp(t *Thread, f *frame, in *ir.Instr) {
-	a, b := f.regs[in.Src[0]], f.regs[in.Src[1]]
-	switch in.Bin {
-	case ir.BinAdd:
-		f.regs[in.Dst] = Value{I: a.I + b.I}
-	case ir.BinSub:
-		f.regs[in.Dst] = Value{I: a.I - b.I}
-	case ir.BinMul:
-		f.regs[in.Dst] = Value{I: a.I * b.I}
-	case ir.BinDiv:
-		if b.I == 0 {
-			m.fail(t, in.Pos, "division by zero")
+		case opFellOff:
+			// Not an instruction: it does not count as a step.
+			t.steps--
+			fr.pc = pc
+			m.fail(t, token.Pos{}, "fell off the end of block b%d in %s", o.x, fc.fn.Name)
+			return
+		default:
+			fr.pc = pc
+			m.fail(t, o.in.Pos, "unhandled instruction %s", o.in.Op)
 			return
 		}
-		f.regs[in.Dst] = Value{I: a.I / b.I}
-	case ir.BinMod:
-		if b.I == 0 {
-			m.fail(t, in.Pos, "division by zero (%%)")
-			return
-		}
-		f.regs[in.Dst] = Value{I: a.I % b.I}
-	case ir.BinEq:
-		f.regs[in.Dst] = BoolVal(a.I == b.I && a.Ref == b.Ref)
-	case ir.BinNeq:
-		f.regs[in.Dst] = BoolVal(a.I != b.I || a.Ref != b.Ref)
-	case ir.BinLt:
-		f.regs[in.Dst] = BoolVal(a.I < b.I)
-	case ir.BinLeq:
-		f.regs[in.Dst] = BoolVal(a.I <= b.I)
-	case ir.BinGt:
-		f.regs[in.Dst] = BoolVal(a.I > b.I)
-	case ir.BinGeq:
-		f.regs[in.Dst] = BoolVal(a.I >= b.I)
+		pc++
 	}
+	fr.pc = pc
 }
 
-// call pushes a frame for the callee, resolving virtual dispatch on
-// the receiver's dynamic class.
-func (m *Machine) call(t *Thread, f *frame, in *ir.Instr) {
-	callee := in.Callee
-	if in.Virtual {
-		recv := f.regs[in.Src[0]].Ref
-		if recv == nil {
-			m.fail(t, in.Pos, "null pointer dereference (call of %s)", callee.QualifiedName())
-			return
-		}
-		callee = recv.Class.ResolveOverride(callee.Name)
-		if callee == nil {
-			m.fail(t, in.Pos, "no implementation of %s for %s", in.Callee.Name, recv.Class.Name)
-			return
-		}
+// callee resolves the target of a call op: the static callee, or the
+// receiver's override through its class's dispatch table. nil means
+// the call failed (m.err is set).
+func (m *Machine) callee(t *Thread, regs []Value, fc *funcCode, o *op) *funcCode {
+	if o.code == opCall {
+		return m.lowered(t, fc.callees[o.imm], o)
 	}
-	if callee.Builtin == sem.BuiltinRunStub {
-		// Explicit run() on a class that never overrides it: no-op.
-		f.pc++
-		return
+	recv := regs[fc.args[o.x]].Ref
+	if recv == nil {
+		m.fail(t, o.in.Pos, "null pointer dereference (call of %s)", o.in.Callee.QualifiedName())
+		return nil
 	}
-	fn := m.prog.FuncOf[callee]
-	if fn == nil {
-		m.fail(t, in.Pos, "call of unlowered method %s", callee.QualifiedName())
-		return
+	callee := recv.cls.vtable[o.imm]
+	if callee == nil {
+		m.fail(t, o.in.Pos, "no implementation of %s for %s", o.in.Callee.Name, recv.Class.Name)
+		return nil
 	}
-	if len(t.frames) >= 4096 {
-		m.fail(t, in.Pos, "stack overflow calling %s", callee.QualifiedName())
-		return
-	}
-	regs, base := t.pushWindow(fn.NumRegs)
-	nf := frame{
-		fn:      fn,
-		regs:    regs,
-		block:   fn.Entry,
-		retReg:  in.Dst,
-		regBase: base,
-	}
-	for i, src := range in.Src {
-		nf.regs[i] = f.regs[src]
-	}
-	f.pc++ // resume after the call on return
-	t.frames = append(t.frames, nf)
+	return m.lowered(t, callee, o)
 }
 
-// ret pops the current frame, writing the return value into the
-// caller, and finishes the thread when the last frame pops.
-func (m *Machine) ret(t *Thread, f *frame, in *ir.Instr) {
-	var rv Value
-	if len(in.Src) > 0 {
-		rv = f.regs[in.Src[0]]
+// lowered rejects a callee with no body unless it is the Thread.run
+// stub, which the caller runs as a no-op.
+func (m *Machine) lowered(t *Thread, callee *funcCode, o *op) *funcCode {
+	if callee.fn == nil && callee.method.Builtin != sem.BuiltinRunStub {
+		m.fail(t, o.in.Pos, "call of unlowered method %s", callee.method.QualifiedName())
+		return nil
 	}
-	retReg := f.retReg
-	t.frames = t.frames[:len(t.frames)-1]
-	t.popWindow(f.regBase)
-	if len(t.frames) == 0 {
-		t.state = stateFinished
-		m.progress++
-		m.sink.ThreadFinished(t.ID)
-		m.wakeJoiners(t)
-		return
-	}
-	caller := &t.frames[len(t.frames)-1]
-	if retReg != ir.NoReg {
-		caller.regs[retReg] = rv
-	}
+	return callee
 }
 
-func (m *Machine) monEnter(t *Thread, f *frame, in *ir.Instr) bool {
-	lock := f.regs[in.Src[0]].Ref
+func (m *Machine) arrayFault(t *Thread, o *op, arr *Object, idx int64, what string) {
+	if arr == nil {
+		m.fail(t, o.in.Pos, "null pointer dereference (array %s)", what)
+		return
+	}
+	m.fail(t, o.in.Pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
+}
+
+func (m *Machine) monEnter(t *Thread, lock *Object, o *op) bool {
 	if lock == nil {
-		m.fail(t, in.Pos, "null pointer dereference (synchronized)")
+		m.fail(t, o.in.Pos, "null pointer dereference (synchronized)")
 		return false
 	}
 	if lock.monOwner != nil && lock.monOwner != t {
@@ -923,14 +978,13 @@ func (m *Machine) monEnter(t *Thread, f *frame, in *ir.Instr) bool {
 	return true
 }
 
-func (m *Machine) monExit(t *Thread, f *frame, in *ir.Instr) {
-	lock := f.regs[in.Src[0]].Ref
+func (m *Machine) monExit(t *Thread, lock *Object, o *op) {
 	if lock == nil {
-		m.fail(t, in.Pos, "null pointer dereference (monitorexit)")
+		m.fail(t, o.in.Pos, "null pointer dereference (monitorexit)")
 		return
 	}
 	if lock.monOwner != t || lock.monDepth == 0 {
-		m.fail(t, in.Pos, "monitorexit of a lock not held by %s", t.ID)
+		m.fail(t, o.in.Pos, "monitorexit of a lock not held by %s", t.ID)
 		return
 	}
 	lock.monDepth--
@@ -958,17 +1012,16 @@ func (m *Machine) monExit(t *Thread, f *frame, in *ir.Instr) {
 // parks in the wait set, and after a notify it re-contends for the
 // monitor and restores its reentrancy depth. Returns true when the
 // wait has completed and the instruction may advance.
-func (m *Machine) monWait(t *Thread, f *frame, in *ir.Instr) bool {
-	lock := f.regs[in.Src[0]].Ref
+func (m *Machine) monWait(t *Thread, lock *Object, o *op) bool {
 	if lock == nil {
-		m.fail(t, in.Pos, "null pointer dereference (wait)")
+		m.fail(t, o.in.Pos, "null pointer dereference (wait)")
 		return false
 	}
 	switch {
 	case t.state == stateRunnable && t.waitMon == nil:
 		// First execution: park.
 		if lock.monOwner != t {
-			m.fail(t, in.Pos, "wait on a monitor not held by %s", t.ID)
+			m.fail(t, o.in.Pos, "wait on a monitor not held by %s", t.ID)
 			return false
 		}
 		t.savedDepth = lock.monDepth
@@ -1009,14 +1062,13 @@ func (m *Machine) monWait(t *Thread, f *frame, in *ir.Instr) bool {
 // longest-waiting) or all threads in the receiver's wait set. The
 // woken threads re-contend for the monitor once the notifier releases
 // it.
-func (m *Machine) monNotify(t *Thread, f *frame, in *ir.Instr, all bool) {
-	lock := f.regs[in.Src[0]].Ref
+func (m *Machine) monNotify(t *Thread, lock *Object, o *op, all bool) {
 	if lock == nil {
-		m.fail(t, in.Pos, "null pointer dereference (notify)")
+		m.fail(t, o.in.Pos, "null pointer dereference (notify)")
 		return
 	}
 	if lock.monOwner != t {
-		m.fail(t, in.Pos, "notify on a monitor not held by %s", t.ID)
+		m.fail(t, o.in.Pos, "notify on a monitor not held by %s", t.ID)
 		return
 	}
 	n := 1
@@ -1026,45 +1078,35 @@ func (m *Machine) monNotify(t *Thread, f *frame, in *ir.Instr, all bool) {
 	for i := 0; i < n && len(lock.waitSet) > 0; i++ {
 		w := lock.waitSet[0]
 		lock.waitSet = lock.waitSet[1:]
-		// The woken thread stays at its OpWait instruction; when it is
-		// next scheduled it re-contends for the monitor (waitMon still
-		// set marks the re-acquire phase).
+		// The woken thread stays at its wait op; when it is next
+		// scheduled it re-contends for the monitor (waitMon still set
+		// marks the re-acquire phase).
 		w.state = stateRunnable
 		m.progress++
 	}
 }
 
-func (m *Machine) startThread(t *Thread, f *frame, in *ir.Instr) {
-	obj := f.regs[in.Src[0]].Ref
+func (m *Machine) startThread(t *Thread, obj *Object, o *op) {
 	if obj == nil {
-		m.fail(t, in.Pos, "null pointer dereference (start)")
+		m.fail(t, o.in.Pos, "null pointer dereference (start)")
 		return
 	}
 	if obj.started {
-		m.fail(t, in.Pos, "thread %s#%d started twice", obj.Class.Name, int64(obj.ID))
+		m.fail(t, o.in.Pos, "thread %s#%d started twice", obj.Class.Name, int64(obj.ID))
 		return
 	}
 	obj.started = true
 
 	child := &Thread{ID: event.ThreadID(len(m.threads)), Obj: obj}
 	obj.thread = child
-	run := obj.Class.ResolveOverride("run")
-	if run != nil && run.Builtin == sem.NotBuiltin {
-		fn := m.prog.FuncOf[run]
-		if fn == nil {
-			m.fail(t, in.Pos, "run method of %s not lowered", obj.Class.Name)
+	if run := obj.cls.run; run != nil {
+		if run.fn == nil {
+			m.fail(t, o.in.Pos, "run method of %s not lowered", obj.Class.Name)
 			return
 		}
-		cregs, cbase := child.pushWindow(fn.NumRegs)
-		cf := frame{
-			fn:      fn,
-			regs:    cregs,
-			block:   fn.Entry,
-			retReg:  ir.NoReg,
-			regBase: cbase,
-		}
-		cf.regs[0] = Value{Ref: obj}
-		child.frames = append(child.frames, cf)
+		cregs, cbase := child.pushWindow(run.numRegs)
+		cregs[0] = Value{Ref: obj}
+		child.frames = append(child.frames, frame{code: run, regs: cregs, retReg: ir.NoReg, regBase: cbase})
 	} else {
 		// Default empty run(): the thread finishes immediately.
 		child.state = stateFinished
@@ -1080,10 +1122,9 @@ func (m *Machine) startThread(t *Thread, f *frame, in *ir.Instr) {
 
 // join returns true when the join completed (the instruction may then
 // advance); false when the thread must wait.
-func (m *Machine) join(t *Thread, f *frame, in *ir.Instr) bool {
-	obj := f.regs[in.Src[0]].Ref
+func (m *Machine) join(t *Thread, obj *Object, o *op) bool {
 	if obj == nil {
-		m.fail(t, in.Pos, "null pointer dereference (join)")
+		m.fail(t, o.in.Pos, "null pointer dereference (join)")
 		return false
 	}
 	child := obj.thread
@@ -1111,13 +1152,14 @@ func (m *Machine) wakeJoiners(finished *Thread) {
 	}
 }
 
-func (m *Machine) print(f *frame, in *ir.Instr) {
+func (m *Machine) print(regs []Value, o *op) {
 	m.progress++
-	if len(in.Src) == 0 {
+	in := o.in
+	if o.a == ir.NoReg {
 		fmt.Fprintln(m.out, in.Str)
 		return
 	}
-	v := f.regs[in.Src[0]]
+	v := regs[o.a]
 	if in.Elem != nil && sem.Same(in.Elem, sem.TypBool) {
 		fmt.Fprintln(m.out, v.Bool())
 		return
@@ -1131,29 +1173,7 @@ func (m *Machine) print(f *frame, in *ir.Instr) {
 
 // trace delivers one access event to the sink (§2.4's 5-tuple; the
 // lockset component is reconstructed by the sink from monitor events).
-func (m *Machine) trace(t *Thread, f *frame, in *ir.Instr) {
-	var loc event.Loc
-	switch {
-	case in.IsArrayTrace:
-		arr := f.regs[in.Src[0]].Ref
-		if arr == nil {
-			return // the access itself already failed
-		}
-		loc = event.Loc{Obj: arr.ID, Slot: event.ArraySlot}
-	case in.Field.Static:
-		co := m.classObject(in.Field.Class)
-		loc = event.Loc{Obj: co.ID, Slot: event.StaticSlot(in.Field.Index)}
-	default:
-		obj := f.regs[in.Src[0]].Ref
-		if obj == nil {
-			return
-		}
-		loc = event.Loc{Obj: obj.ID, Slot: int32(in.Field.Index)}
-	}
-	kind := event.Read
-	if in.Access == ir.Write {
-		kind = event.Write
-	}
+func (m *Machine) trace(t *Thread, loc event.Loc, kind event.Kind, site *traceSite) {
 	m.res.TraceEvents++
 	if m.fast != nil && m.fast.QuickCheck(t.ID, loc, kind) {
 		return // absorbed by the inlined cache hit path
@@ -1162,7 +1182,7 @@ func (m *Machine) trace(t *Thread, f *frame, in *ir.Instr) {
 		Loc:       loc,
 		Thread:    t.ID,
 		Kind:      kind,
-		Pos:       in.Pos,
-		FieldName: in.TraceName,
+		Pos:       site.pos,
+		FieldName: site.name,
 	})
 }

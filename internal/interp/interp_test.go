@@ -33,7 +33,7 @@ func tryRun(t *testing.T, src string, opts Options) (string, Result, error) {
 	low := lower.Lower(sp)
 	var buf strings.Builder
 	opts.Out = &buf
-	m := New(low.Prog, opts)
+	m := New(Decode(low.Prog), opts)
 	res, err := m.Run()
 	return buf.String(), res, err
 }
@@ -425,7 +425,7 @@ class M {
 	}
 	low := lower.Lower(sp)
 	sink := &recordingSink{}
-	m := New(low.Prog, Options{Sink: sink})
+	m := New(Decode(low.Prog), Options{Sink: sink})
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ class M { static void main() { A a = new A(); a.f = 1; } }`
 		t.Fatal(err)
 	}
 	low := lower.Lower(sp)
-	m := New(low.Prog, Options{})
+	m := New(Decode(low.Prog), Options{})
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func runWithOpts(t *testing.T, src string, opts Options) (string, Result, *Machi
 	low := lower.Lower(sp)
 	var buf strings.Builder
 	opts.Out = &buf
-	m := New(low.Prog, opts)
+	m := New(Decode(low.Prog), opts)
 	res, err := m.Run()
 	return buf.String(), res, m, err
 }

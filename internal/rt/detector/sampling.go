@@ -41,8 +41,8 @@
 // Throttling therefore suppresses two provably-redundant classes:
 // repeat traffic that cannot complete a race pair (read-read sharing,
 // sole-toucher traffic — judged against both suppressed and shipped
-// history), and all traffic on locations whose shipped history already
-// proves a race report (see shipEntry.proven). Stable (recurring)
+// history), and all traffic on locations the trie has already reported
+// a race on (settled, see sitestate.Table.Reported). Stable (recurring)
 // races survive; the residual one-shot blind spot is documented in
 // sitestate and docs/performance.md.
 package detector
@@ -122,26 +122,17 @@ func (d *Detector) sampledAccess(a *event.Access) {
 		d.sites.Observe(id, false)
 		return
 	}
-	d.sites.RecordShip(loc, t, wr, len(a.Locks) == 0)
+	d.sites.RecordShip(loc, t, wr)
 	d.ship(*a, loc)
-	if !d.opts.NoCache {
-		top, ok := d.locks.Top(t)
-		d.cache.Insert(t, loc, a.Kind, top, ok)
-	}
 	d.sites.Observe(id, true)
 }
 
 // shipFromStub forwards an access the demoted stub may not suppress:
-// record it in the shipped history, deliver it to the trie, and insert
-// it into the per-thread cache (the unsampled pipeline caches every
-// delivered access; the stub must too, or recurring racy-shaped
-// traffic re-ships on every repeat).
+// record it in the shipped history and deliver it to the trie (ship
+// also inserts it into the per-thread cache, or recurring racy-shaped
+// traffic would re-ship on every repeat).
 func (d *Detector) shipFromStub(a *event.Access, loc event.Loc, t event.ThreadID, wr bool) {
-	d.sites.RecordShip(loc, t, wr, len(a.Locks) == 0)
+	d.sites.RecordShip(loc, t, wr)
 	d.ship(*a, loc)
-	if !d.opts.NoCache {
-		top, ok := d.locks.Top(t)
-		d.cache.Insert(t, loc, a.Kind, top, ok)
-	}
 	d.sites.ForcedShip()
 }

@@ -15,7 +15,7 @@ func (st *Table) CanSuppress(loc event.Loc, t event.ThreadID, write bool) bool {
 	if r == nil {
 		r = new(locState)
 	}
-	return r.ship.proven() || st.canSuppress(r, t, write)
+	return r.settled || st.canSuppress(r, t, write)
 }
 
 func pos(line int32) token.Pos { return token.Pos{File: "t.mj", Line: line, Col: 1} }
@@ -190,7 +190,7 @@ func TestCrossThreadTouchDetection(t *testing.T) {
 	// write suppression. Refusal needs no re-arm — the forwarded event
 	// itself pairs in the trie.
 	loc3 := event.Loc{Obj: 9, Slot: 0}
-	st.RecordShip(loc3, 2, true, false)
+	st.RecordShip(loc3, 2, true)
 	if st.CanSuppress(loc3, 1, false) || st.CanSuppress(loc3, 1, true) {
 		t.Fatalf("foreign shipped write must refuse suppression")
 	}
@@ -198,7 +198,7 @@ func TestCrossThreadTouchDetection(t *testing.T) {
 		t.Fatalf("a thread may suppress against its own shipped history")
 	}
 	loc4 := event.Loc{Obj: 10, Slot: 0}
-	st.RecordShip(loc4, 2, false, false)
+	st.RecordShip(loc4, 2, false)
 	if !st.CanSuppress(loc4, 1, false) {
 		t.Fatalf("foreign shipped READS must not block read suppression")
 	}
@@ -216,65 +216,36 @@ func TestProvenRaceSuppressesEverything(t *testing.T) {
 	st := New(Config{K: 1})
 	id := st.SiteID(pos(1), event.Write)
 
-	// An unlocked write by t1 plus a LOCKED read by t2: the empty
-	// lockset is disjoint with every lockset, so the trie must report
-	// this location — everything after is redundant.
+	// Shipped history alone proves nothing, whatever the threads and
+	// kinds: the table does not know the locksets, and every thread
+	// holds its own pseudolock, so two shipped writes by distinct
+	// threads may still share a lock.
 	loc := event.Loc{Obj: 1, Slot: 0}
-	st.RecordShip(loc, 1, true, true)
-	if st.CanSuppress(loc, 2, true) {
-		t.Fatalf("one shipped access must not prove a race")
+	st.RecordShip(loc, 1, true)
+	st.RecordShip(loc, 2, true)
+	st.RecordShip(loc, 64, false)
+	if st.CanSuppress(loc, 3, true) || st.CanSuppress(loc, 3, false) {
+		t.Fatalf("shipped history must not settle a location")
 	}
-	st.RecordShip(loc, 2, false, false)
+
+	// Once the trie reports a race there, the location is settled:
+	// everything after is redundant.
+	st.Reported(loc)
 	for _, tid := range []event.ThreadID{1, 2, 3, 64} {
 		if !st.CanSuppress(loc, tid, true) || !st.CanSuppress(loc, tid, false) {
-			t.Fatalf("proven location must suppress thread %d", tid)
+			t.Fatalf("settled location must suppress thread %d", tid)
 		}
 	}
 	if !st.Touch(id, loc, 3, true) {
-		t.Fatalf("Touch on a proven location must suppress")
+		t.Fatalf("Touch on a settled location must suppress")
 	}
 	if st.nTouched != 0 {
-		t.Fatalf("proven Touch must not grow the touch index")
+		t.Fatalf("settled Touch must not grow the touch index")
 	}
 
-	// A LOCKED write by t1 plus an unlocked read by t2 also proves.
-	loc2 := event.Loc{Obj: 2, Slot: 0}
-	st.RecordShip(loc2, 1, true, false)
-	st.RecordShip(loc2, 2, false, true)
-	if !st.CanSuppress(loc2, 3, true) {
-		t.Fatalf("locked write + unlocked foreign read must prove")
-	}
-
-	// Two LOCKED accesses never prove: their locksets may overlap.
-	loc3 := event.Loc{Obj: 3, Slot: 0}
-	st.RecordShip(loc3, 1, true, false)
-	st.RecordShip(loc3, 2, true, false)
-	if st.CanSuppress(loc3, 3, true) {
-		t.Fatalf("two locked writes must not prove a race")
-	}
-
-	// Unlocked write + unlocked read by the SAME thread never proves.
-	loc4 := event.Loc{Obj: 4, Slot: 0}
-	st.RecordShip(loc4, 1, true, true)
-	st.RecordShip(loc4, 1, false, true)
-	if st.CanSuppress(loc4, 2, false) {
-		t.Fatalf("a single thread's shipped history must not prove a race")
-	}
-
-	// An unrepresentable thread's ships never enter the unlocked masks
-	// (proven must under-approximate), so two unrepresentable threads
-	// can never prove. Paired with a representable unlocked access the
-	// poison IS sound — it stands for a real thread that is distinct
-	// from every representable one.
-	loc5 := event.Loc{Obj: 5, Slot: 0}
-	st.RecordShip(loc5, 64, true, true)
-	st.RecordShip(loc5, 65, false, true)
-	if st.CanSuppress(loc5, 2, false) {
-		t.Fatalf("unrepresentable-only history must not prove a race")
-	}
-	st.RecordShip(loc5, 1, false, true)
-	if !st.CanSuppress(loc5, 2, false) {
-		t.Fatalf("unlocked access + poisoned foreign writer must prove")
+	// Settling is per location.
+	if st.CanSuppress(event.Loc{Obj: 1, Slot: 1}, 3, true) != st.CanSuppress(event.Loc{Obj: 9, Slot: 0}, 3, true) {
+		t.Fatalf("a report must settle only its own location")
 	}
 }
 
