@@ -296,48 +296,6 @@ func BenchmarkAblationTrieVsFlat(b *testing.B) {
 	})
 }
 
-// Ablation: the t⊥ space optimization (DESIGN.md §4.2).
-func BenchmarkAblationTBot(b *testing.B) {
-	stream := syntheticStream(20000)
-	b.Run("WithTBot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := trie.New()
-			for _, e := range stream {
-				d.Process(e)
-			}
-		}
-	})
-	b.Run("NoTBot", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := trie.NewNoTBot()
-			for _, e := range stream {
-				d.Process(e)
-			}
-		}
-	})
-}
-
-// Ablation: §8.2's multi-location packing vs the per-location trie.
-func BenchmarkAblationPackedTrie(b *testing.B) {
-	stream := syntheticStream(20000)
-	b.Run("PerLocation", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := trie.New()
-			for _, e := range stream {
-				d.Process(e)
-			}
-		}
-	})
-	b.Run("Packed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d := trie.NewPacked()
-			for _, e := range stream {
-				d.Process(e)
-			}
-		}
-	})
-}
-
 // Ablation: the cache hit path (the paper's "ten PowerPC instructions").
 func BenchmarkCacheHitPath(b *testing.B) {
 	c := cache.New()

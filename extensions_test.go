@@ -111,24 +111,6 @@ class Main {
 	}
 }
 
-// TestPublicPackedTrie: same reports, smaller history.
-func TestPublicPackedTrie(t *testing.T) {
-	plain, err := Detect("racy.mj", racyProgram, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed, err := Detect("racy.mj", racyProgram, Options{UsePackedTrie: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.RacyObjects != packed.RacyObjects {
-		t.Fatalf("packed trie changed detection: %d vs %d", packed.RacyObjects, plain.RacyObjects)
-	}
-	if packed.Stats.TrieNodes > plain.Stats.TrieNodes {
-		t.Errorf("packed nodes %d > plain %d", packed.Stats.TrieNodes, plain.Stats.TrieNodes)
-	}
-}
-
 // TestPublicStaticPartners: the §2.6 debugging hints reach the API.
 func TestPublicStaticPartners(t *testing.T) {
 	res, err := Detect("racy.mj", racyProgram, Options{})

@@ -164,10 +164,6 @@ type Config struct {
 	// whether it was only written before cross-thread publication.
 	AnalyzeImmutability bool
 
-	// PackedTrie selects the §8.2 multi-location trie representation
-	// (one trie per object instead of per location).
-	PackedTrie bool
-
 	// Shards is ignored: detection always runs serially. The field
 	// remains so that existing callers keep compiling.
 	Shards int
@@ -872,7 +868,6 @@ func newDetectorSinks(cfg Config) *detectorSinks {
 			FieldsMerged:      cfg.FieldsMerged,
 			NoPseudoLocks:     !cfg.PseudoLocks,
 			ReportAll:         cfg.ReportAll,
-			PackedTrie:        cfg.PackedTrie,
 			MaxTrieNodes:      cfg.MaxTrieNodes,
 			MaxCacheThreads:   cfg.MaxCacheThreads,
 			MaxOwnerLocations: cfg.MaxOwnerLocations,

@@ -128,7 +128,6 @@ func TestReplayTraceMatchesLive(t *testing.T) {
 		{"maxowner", func(c Config) Config { c.MaxOwnerLocations = 16; return c }},
 		{"maxtrie", func(c Config) Config { c.MaxTrieNodes = 64; return c }},
 		{"maxcache", func(c Config) Config { c.MaxCacheThreads = 1; return c }},
-		{"packed", func(c Config) Config { c.PackedTrie = true; return c }},
 	}
 	for _, prog := range []string{"tsp", "hedc", "mtrt"} {
 		file := "../bench/testdata/" + prog + ".mj"

@@ -217,7 +217,6 @@ func TestRandomProgramsConfigAgreement(t *testing.T) {
 		}{
 			{"NoStatic", Full().NoStatic()},
 			{"NoCache", Full().NoCache()},
-			{"Packed", func() Config { c := Full(); c.PackedTrie = true; return c }()},
 		} {
 			if got := run(seed, src, c.name, c.cfg); !equal(got, full) {
 				t.Fatalf("seed %d: %s reports %v, Full reported %v\n--- program ---\n%s",

@@ -176,7 +176,7 @@ func TestCorpusVerdicts(t *testing.T) {
 }
 
 // TestCorpusConfigStability checks the §7.2 claim over the corpus:
-// NoStatic/NoCache/Packed must match Full exactly; NoDominators must
+// NoStatic/NoCache must match Full exactly; NoDominators must
 // report a superset (it can recover races the compile-time
 // weaker-than × ownership interaction suppresses — see
 // unsafe_publish.mj — but never lose one).
@@ -187,7 +187,6 @@ func TestCorpusConfigStability(t *testing.T) {
 	}{
 		{"NoStatic", core.Full().NoStatic()},
 		{"NoCache", core.Full().NoCache()},
-		{"Packed", func() core.Config { c := core.Full(); c.PackedTrie = true; return c }()},
 	}
 	for _, e := range loadCorpus(t) {
 		e := e

@@ -31,7 +31,8 @@ import (
 )
 
 // Options selects which layers run; the zero value is the paper's
-// "Full" runtime configuration.
+// "Full" runtime configuration. The history is always one trie per
+// location (§3); MaxTrieNodes only bounds its size.
 type Options struct {
 	// NoCache disables the §4 runtime optimizer (Table 2 "NoCache").
 	NoCache bool
@@ -47,21 +48,12 @@ type Options struct {
 	// demonstrate the mtrt I/O-statistics false positive that
 	// single-common-lock detectors report (§8.3).
 	NoPseudoLocks bool
-	// NoTBot stores exact thread sets in trie nodes instead of
-	// collapsing to t⊥ (space ablation; see DESIGN.md §4).
-	NoTBot bool
-	// PackedTrie uses the §8.2 multi-location trie (one trie per
-	// object, per-slot lattice entries) instead of one trie per
-	// location. Mutually exclusive with NoTBot.
-	PackedTrie bool
 	// ReportAll reports every racing access event rather than one per
 	// location (closer to FullRace; quadratic in the worst case).
 	ReportAll bool
 	// MaxTrieNodes bounds trie history memory (0 = unbounded). Over
 	// budget, whole per-location histories collapse to a conservative
-	// summary that reports strictly more races, never fewer. Only the
-	// default per-location trie honors the bound; PackedTrie and NoTBot
-	// ignore it (they are ablation configurations).
+	// summary that reports strictly more races, never fewer.
 	MaxTrieNodes int
 	// MaxCacheThreads bounds the number of live per-thread access
 	// caches (0 = unbounded); over budget the least recently used
@@ -144,16 +136,6 @@ type Stats struct {
 	Cache          cache.Stats
 }
 
-// history is the per-location access store: the per-location trie,
-// its t⊥ ablation, or the §8.2 packed multi-location trie.
-type history interface {
-	Process(event.Access) (bool, trie.RaceInfo)
-	Stats() trie.Stats
-	NodeCount() int
-	LocationCount() int
-	SetInterner(*event.Interner)
-}
-
 // Detector is the composed runtime detector.
 type Detector struct {
 	opts Options
@@ -163,7 +145,7 @@ type Detector struct {
 	owner *ownership.Table
 	sites *sitestate.Table // non-nil iff per-site throttling is on
 	stats Stats            // filter counters; trie counters join at read time
-	trie  history
+	trie  *trie.Detector   // one trie per location (§3)
 
 	reports     []Report // ObjDesc is rendered at read time
 	reportedLoc map[event.Loc]struct{}
@@ -193,14 +175,9 @@ func New(opts Options) *Detector {
 		d.sites = sitestate.New(sc)
 		d.owner.SetOnContact(d.sites.Contact)
 	}
-	switch {
-	case opts.PackedTrie:
-		d.trie = trie.NewPacked()
-	case opts.NoTBot:
-		d.trie = trie.NewNoTBot()
-	case opts.MaxTrieNodes > 0:
+	if opts.MaxTrieNodes > 0 {
 		d.trie = trie.NewBounded(opts.MaxTrieNodes)
-	default:
+	} else {
 		d.trie = trie.New()
 	}
 	d.trie.SetInterner(it)

@@ -130,3 +130,47 @@ func TestPackedPruning(t *testing.T) {
 		t.Errorf("chain still hosting slot 1 must survive: %d -> %d", before, after)
 	}
 }
+
+// syntheticStream is the 20 000-event stream of the root package's
+// trie ablations: eight objects, three threads, four locksets.
+func syntheticStream(n int) []event.Access {
+	rng := rand.New(rand.NewSource(42))
+	out := make([]event.Access, n)
+	locksets := []event.Lockset{
+		event.NewLockset(),
+		event.NewLockset(100),
+		event.NewLockset(100, 200),
+		event.NewLockset(300),
+	}
+	for i := range out {
+		out[i] = event.Access{
+			Loc:    event.Loc{Obj: event.ObjID(rng.Intn(8) + 1), Slot: 0},
+			Thread: event.ThreadID(rng.Intn(3)),
+			Kind:   event.Kind(rng.Intn(2)),
+			Locks:  locksets[rng.Intn(len(locksets))],
+		}
+	}
+	return out
+}
+
+// BenchmarkAblationPackedTrie times §8.2's multi-location packing
+// against the per-location trie on the same stream.
+func BenchmarkAblationPackedTrie(b *testing.B) {
+	stream := syntheticStream(20000)
+	b.Run("PerLocation", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d := New()
+			for _, e := range stream {
+				d.Process(e)
+			}
+		}
+	})
+	b.Run("Packed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d := NewPacked()
+			for _, e := range stream {
+				d.Process(e)
+			}
+		}
+	})
+}

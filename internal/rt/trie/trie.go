@@ -1,5 +1,7 @@
 // Package trie implements the trie-based runtime datarace detection
-// algorithm of §3.2 of the paper.
+// algorithm of §3.2 of the paper. The per-location trie is the only
+// history the detector builds; the §8.2 multi-location packing lives
+// in this package's tests as a space model checked against it.
 //
 // For each memory location the detector keeps an edge-labeled trie.
 // Edges are labeled with lock identities (in canonical increasing
@@ -124,13 +126,6 @@ type Detector struct {
 	tries map[event.Loc]*node
 	stats Stats
 
-	// UseTBot controls the t⊥ space optimization. The paper always
-	// uses it; disabling it (ablation) stores a set of thread IDs per
-	// node instead, which lets the detector always report the precise
-	// earlier thread at the cost of space.
-	UseTBot bool
-	threads map[*node]map[event.ThreadID]struct{} // only when !UseTBot
-
 	// maxNodes caps live trie nodes (0 = unbounded). When the budget
 	// is exceeded, whole per-location tries are collapsed — largest
 	// first — to a single root summarizing "some prior conflicting
@@ -149,7 +144,6 @@ type Detector struct {
 func New() *Detector {
 	return &Detector{
 		tries:   make(map[event.Loc]*node),
-		UseTBot: true,
 		pathBuf: make(event.Lockset, 0, 64),
 	}
 }
@@ -167,15 +161,6 @@ func (d *Detector) priorLocks(path event.Lockset) event.Lockset {
 		return d.intern.Lockset(d.intern.Intern(path))
 	}
 	return path.Clone()
-}
-
-// NewNoTBot returns a detector that keeps exact thread sets per node
-// (the t⊥ ablation).
-func NewNoTBot() *Detector {
-	d := New()
-	d.UseTBot = false
-	d.threads = make(map[*node]map[event.ThreadID]struct{})
-	return d
 }
 
 // NewBounded returns a detector whose history is capped at maxNodes
@@ -312,9 +297,6 @@ func (d *Detector) enforceBudget() {
 
 // collapse discards root's history, freeing size-1 nodes.
 func (d *Detector) collapse(root *node, size int) {
-	if !d.UseTBot {
-		d.dropThreadSets(root)
-	}
 	root.labels, root.kids = nil, nil
 	root.thread = event.TBot
 	root.kind = event.Write
@@ -322,15 +304,6 @@ func (d *Detector) collapse(root *node, size int) {
 	d.liveNodes -= size - 1
 	d.stats.Collapses++
 	d.stats.NodesCollapsed += uint64(size - 1)
-}
-
-// dropThreadSets removes the subtree's entries from the NoTBot thread
-// table so collapsed nodes do not leak.
-func (d *Detector) dropThreadSets(x *node) {
-	delete(d.threads, x)
-	for _, k := range x.kids {
-		d.dropThreadSets(k)
-	}
 }
 
 // weaker reports whether some stored access weaker than e exists. It
@@ -366,7 +339,7 @@ func (d *Detector) raceCheck(n *node, path event.Lockset, e event.Access, race *
 		if tm == event.TBot && am == event.Write {
 			*race = true
 			*info = RaceInfo{
-				PriorThread: d.reportableThread(n, e.Thread),
+				PriorThread: n.thread,
 				PriorLocks:  d.priorLocks(path),
 				PriorKind:   n.kind,
 			}
@@ -383,21 +356,6 @@ func (d *Detector) raceCheck(n *node, path event.Lockset, e event.Access, race *
 			return
 		}
 	}
-}
-
-// reportableThread returns the prior thread to include in the report.
-// With the t⊥ optimization the stored value may already be t⊥; the
-// ablation detector recovers a precise thread distinct from cur.
-func (d *Detector) reportableThread(n *node, cur event.ThreadID) event.ThreadID {
-	if d.UseTBot || n.thread != event.TBot {
-		return n.thread
-	}
-	for t := range d.threads[n] {
-		if t != cur {
-			return t
-		}
-	}
-	return event.TBot
 }
 
 // update meets e into the node for exactly e.Locks and prunes stored
@@ -419,14 +377,6 @@ func (d *Detector) update(root *node, e event.Access) {
 		n.thread = event.ThreadMeet(n.thread, e.Thread)
 		n.kind = event.KindMeet(n.kind, e.Kind)
 	}
-	if !d.UseTBot {
-		set := d.threads[n]
-		if set == nil {
-			set = make(map[event.ThreadID]struct{})
-			d.threads[n] = set
-		}
-		set[e.Thread] = struct{}{}
-	}
 
 	// Prune accesses stronger than the updated node: every stored
 	// access p with n ⊑ p (n weaker) can be dropped. Such p live at
@@ -445,9 +395,6 @@ func (d *Detector) prune(x *node, path event.Lockset, w event.Access, keep *node
 		stored := event.Access{Loc: w.Loc, Thread: x.thread, Locks: path, Kind: x.kind}
 		if event.WeakerThan(w, stored) {
 			x.clear()
-			if !d.UseTBot {
-				delete(d.threads, x)
-			}
 			d.stats.NodesPruned++
 		}
 	}

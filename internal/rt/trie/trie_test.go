@@ -219,24 +219,6 @@ func TestAgainstReference(t *testing.T) {
 	}
 }
 
-// TestNoTBotReportsPreciseThread checks the ablation detector keeps
-// exact thread identities.
-func TestNoTBotReportsPreciseThread(t *testing.T) {
-	d := NewNoTBot()
-	d.Process(acc(1, event.Read, 100))
-	d.Process(acc(2, event.Read, 100)) // collapses to t⊥ in the node
-	race, info := d.Process(acc(3, event.Write, 200))
-	if !race {
-		t.Fatal("expected race")
-	}
-	if info.PriorThread == event.TBot {
-		t.Errorf("NoTBot detector should recover a precise thread, got t⊥")
-	}
-	if info.PriorThread != 1 && info.PriorThread != 2 {
-		t.Errorf("prior thread = %v", info.PriorThread)
-	}
-}
-
 func TestNodeCountAndSweep(t *testing.T) {
 	d := New()
 	d.Process(acc(1, event.Read, 100, 200, 300)) // deep chain

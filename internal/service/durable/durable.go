@@ -189,30 +189,15 @@ func Open(o Options) (*Store, Recovered, error) {
 		return nil, Recovered{}, fmt.Errorf("durable: read wal: %w", err)
 	}
 
-	var rec Recovered
-	keep := int64(len(data))
-	switch {
-	case len(data) == 0:
-		keep = 0
-	case len(data) < len(fileMagic):
-		// The very first write (the magic itself) was torn: nothing was
-		// ever acknowledged from this file, so starting over is safe.
-		rec.TailTruncated = true
-		keep = 0
-	case string(data[:len(fileMagic)]) != string(fileMagic):
-		return nil, Recovered{}, &FormatError{Path: path, Offset: 0, Msg: "bad file magic"}
-	default:
-		records, goodEnd, ferr := parse(path, data)
-		if ferr != nil {
-			return nil, Recovered{}, ferr
-		}
-		rec.Records = records
-		if goodEnd < int64(len(data)) {
-			rec.TailTruncated = true
-		}
-		keep = goodEnd
+	records, keep, err := parse(path, data)
+	if err != nil {
+		return nil, Recovered{}, err
 	}
-	rec.TruncatedBytes = int64(len(data)) - keep
+	rec := Recovered{
+		Records:        records,
+		TailTruncated:  keep < int64(len(data)),
+		TruncatedBytes: int64(len(data)) - keep,
+	}
 
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -251,10 +236,20 @@ func Open(o Options) (*Store, Recovered, error) {
 	return s, rec, nil
 }
 
-// parse walks the framed records after the magic. It returns the
-// records of the longest clean prefix and the offset where that prefix
-// ends; a corrupt middle returns *FormatError instead.
+// parse checks the magic and walks the framed records after it. It
+// returns the records of the longest clean prefix and the offset where
+// that prefix ends; a bad magic or a corrupt middle returns
+// *FormatError instead.
 func parse(path string, data []byte) ([]Record, int64, error) {
+	if len(data) < len(fileMagic) {
+		// Empty, or the very first write (the magic itself) was torn:
+		// nothing was ever acknowledged from this file, so starting over
+		// is safe.
+		return nil, 0, nil
+	}
+	if string(data[:len(fileMagic)]) != string(fileMagic) {
+		return nil, 0, &FormatError{Path: path, Offset: 0, Msg: "bad file magic"}
+	}
 	var records []Record
 	off := int64(len(fileMagic))
 	size := int64(len(data))

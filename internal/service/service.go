@@ -536,7 +536,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if err := validateSampling(req); err != nil {
+	if err := s.validateSampling(req); err != nil {
 		if s.journalFinish(job, StateBadRequest, 0) {
 			s.m.jobsFailed.Add(1)
 		}
@@ -673,8 +673,10 @@ func (s *Server) validateTrace(req JobRequest) error {
 // budget outside [0, 1] can never be satisfied and is refused before
 // the job occupies a session slot. SampleK's sign is meaningful and
 // never rejected (> 0 overrides the daemon default, < 0 forces
-// throttling off).
-func validateSampling(req JobRequest) error {
+// throttling off). Priors seed the sampler, so a priors job is refused
+// when its overrides and the daemon's defaults leave sampling off, as
+// racedet -priors is without -sample-k or -sample-budget.
+func (s *Server) validateSampling(req JobRequest) error {
 	if req.SampleBudget < 0 || req.SampleBudget > 1 {
 		return fmt.Errorf("sample_budget must be in [0, 1] (got %g)", req.SampleBudget)
 	}
@@ -683,6 +685,9 @@ func validateSampling(req JobRequest) error {
 	case "on", "invert":
 		if req.SampleK < 0 {
 			return fmt.Errorf("priors %q seed the sampler, but sample_k < 0 forces throttling off", req.Priors)
+		}
+		if o := s.jobOptions(req); o.SampleK <= 0 && o.SampleBudget <= 0 {
+			return fmt.Errorf("priors %q seed the sampler, but this job runs with sampling off (set sample_k or sample_budget)", req.Priors)
 		}
 		if len(req.Trace) > 0 {
 			return fmt.Errorf("priors need a compiled program to take tiers from; trace jobs cannot use them")

@@ -558,6 +558,62 @@ func TestSamplingJobs(t *testing.T) {
 	}
 }
 
+// TestPriorsJobs: a priors job runs with the priors racedet.Detect
+// applies under the same options, and one whose overrides and the
+// daemon's defaults leave sampling off is refused at admission instead
+// of running with its priors silently dropped.
+func TestPriorsJobs(t *testing.T) {
+	s, c, stop := newTestServer(t, Options{})
+	defer stop()
+
+	src, err := os.ReadFile("../corpus/testdata/handoff_pipeline.mj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := string(src)
+
+	for _, priors := range []string{"on", "invert"} {
+		body, _ := json.Marshal(JobRequest{File: "hot.mj", Source: prog, Priors: priors})
+		resp, err := http.Post(c.Base+"/analyze", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := new(bytes.Buffer)
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), "sampling off") {
+			t.Errorf("priors %q without sampling: status %d %q, want 400 naming sampling off",
+				priors, resp.StatusCode, msg.String())
+		}
+	}
+
+	got, err := c.Analyze(JobRequest{File: "hot.mj", Source: prog, Priors: "on", SampleK: 2})
+	if err != nil {
+		t.Fatalf("analyze priors: %v", err)
+	}
+	want, err := racedet.Detect("hot.mj", prog, racedet.Options{SampleK: 2, Priors: "on"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Races, want.Races) {
+		t.Errorf("priors job races diverge from one-shot:\n got %+v\nwant %+v", got.Races, want.Races)
+	}
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Errorf("priors job stats diverge from one-shot:\n got %+v\nwant %+v", got.Stats, want.Stats)
+	}
+	if got.Stats.PriorHighSites+got.Stats.PriorLowSites == 0 {
+		t.Errorf("priors job carries no prior sites: %+v", got.Stats)
+	}
+
+	m := s.Metrics()
+	if m.JobsFailed != 2 || m.JobsCompleted != 1 {
+		t.Errorf("failed=%d completed=%d, want 2/1", m.JobsFailed, m.JobsCompleted)
+	}
+	if m.Terminal() != m.JobsAdmitted {
+		t.Errorf("terminal=%d admitted=%d", m.Terminal(), m.JobsAdmitted)
+	}
+}
+
 func TestWatchdogAbortKeepsPartialReport(t *testing.T) {
 	s, c, stop := newTestServer(t, Options{JobTimeout: 150 * time.Millisecond})
 	defer stop()

@@ -63,7 +63,9 @@ const (
 )
 
 // Options configures detection. The zero value is the paper's full
-// configuration with the Trie detector.
+// configuration with the Trie detector, which keeps one trie per
+// memory location (§3); §8.2's multi-location packing is a space
+// experiment in internal/rt/trie's tests, not an option.
 type Options struct {
 	// Detector selects the runtime algorithm (default Trie).
 	Detector Detector
@@ -96,9 +98,6 @@ type Options struct {
 	// DetectDeadlocks additionally runs the lock-order-graph
 	// potential-deadlock analysis (§10 future work, Goodlock-style).
 	DetectDeadlocks bool
-	// UsePackedTrie selects the §8.2 multi-location trie (one trie per
-	// object with per-field entries) — same reports, smaller history.
-	UsePackedTrie bool
 	// AnalyzeImmutability additionally classifies every cross-thread
 	// field as observed-immutable (written only before publication) or
 	// mutable-shared (§10 future work).
@@ -212,7 +211,6 @@ func (o Options) config() core.Config {
 	cfg.FieldsMerged = o.MergeFields
 	cfg.ReportAll = o.ReportAllAccesses
 	cfg.DetectDeadlocks = o.DetectDeadlocks
-	cfg.PackedTrie = o.UsePackedTrie
 	cfg.AnalyzeImmutability = o.AnalyzeImmutability
 	cfg.Seed = o.Seed
 	cfg.Quantum = o.Quantum
