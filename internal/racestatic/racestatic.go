@@ -13,7 +13,6 @@
 package racestatic
 
 import (
-	"fmt"
 	"sort"
 
 	"racedet/internal/escape"
@@ -30,7 +29,7 @@ type AccessSite struct {
 }
 
 func (a AccessSite) String() string {
-	return fmt.Sprintf("%s@%s", a.Fn.InstrString(a.Instr), a.Instr.Pos)
+	return a.Fn.InstrString(a.Instr) + "@" + a.Instr.Pos.String()
 }
 
 // Result is the static datarace set plus the per-site classification.

@@ -16,11 +16,7 @@ func (g *ValueNumbering) DefVN(in *ir.Instr) VN {
 	if !ok {
 		return NoVN
 	}
-	v, ok := g.vn[id]
-	if !ok {
-		return NoVN
-	}
-	return v
+	return g.vn[id]
 }
 
 // buildFn lowers src and returns the named function.
