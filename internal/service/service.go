@@ -671,14 +671,18 @@ func (s *Server) validateTrace(req JobRequest) error {
 
 // validateSampling vets a job's throttling overrides at admission: a
 // budget outside [0, 1] can never be satisfied and is refused before
-// the job occupies a session slot. SampleK's sign is meaningful and
-// never rejected (> 0 overrides the daemon default, < 0 forces
-// throttling off). Priors seed the sampler, so a priors job is refused
+// the job occupies a session slot. SampleK's sign is meaningful (> 0
+// overrides the daemon default, < 0 forces throttling off), so a job
+// that forces throttling off and also sets a budget contradicts itself
+// and is refused. Priors seed the sampler, so a priors job is refused
 // when its overrides and the daemon's defaults leave sampling off, as
 // racedet -priors is without -sample-k or -sample-budget.
 func (s *Server) validateSampling(req JobRequest) error {
 	if req.SampleBudget < 0 || req.SampleBudget > 1 {
 		return fmt.Errorf("sample_budget must be in [0, 1] (got %g)", req.SampleBudget)
+	}
+	if req.SampleK < 0 && req.SampleBudget > 0 {
+		return fmt.Errorf("sample_k < 0 forces throttling off, but sample_budget %g turns it on", req.SampleBudget)
 	}
 	switch req.Priors {
 	case "", "off":

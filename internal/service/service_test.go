@@ -558,6 +558,51 @@ func TestSamplingJobs(t *testing.T) {
 	}
 }
 
+// TestSampleOffWithBudgetRefused: sample_k < 0 forces throttling off,
+// so a job that also sets sample_budget contradicts itself and is
+// refused at admission instead of running sampled at the default K.
+func TestSampleOffWithBudgetRefused(t *testing.T) {
+	s, c, stop := newTestServer(t, Options{})
+	defer stop()
+
+	for _, req := range []JobRequest{
+		{File: "x.mj", Source: racyProg, SampleK: -1, SampleBudget: 0.25},
+		{File: "x.mj", Source: racyProg, SampleK: -1, SampleBudget: 0.25, Priors: "invert"},
+	} {
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(c.Base+"/analyze", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := new(bytes.Buffer)
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), "sample_k < 0") {
+			t.Errorf("%s: status %d %q, want 400 naming sample_k < 0", body, resp.StatusCode, msg.String())
+		}
+	}
+
+	// Either knob alone is still admitted.
+	off, err := c.Analyze(JobRequest{File: "x.mj", Source: racyProg, SampleK: -1})
+	if err != nil {
+		t.Fatalf("sample_k < 0 alone: %v", err)
+	}
+	if off.Stats.SitesSampled != 0 {
+		t.Errorf("sample_k < 0 job still sampled: %+v", off.Stats)
+	}
+	if _, err := c.Analyze(JobRequest{File: "x.mj", Source: racyProg, SampleBudget: 0.25}); err != nil {
+		t.Fatalf("sample_budget alone: %v", err)
+	}
+
+	m := s.Metrics()
+	if m.JobsFailed != 2 || m.JobsCompleted != 2 {
+		t.Errorf("failed=%d completed=%d, want 2/2", m.JobsFailed, m.JobsCompleted)
+	}
+	if m.Terminal() != m.JobsAdmitted {
+		t.Errorf("terminal=%d admitted=%d", m.Terminal(), m.JobsAdmitted)
+	}
+}
+
 // TestPriorsJobs: a priors job runs with the priors racedet.Detect
 // applies under the same options, and one whose overrides and the
 // daemon's defaults leave sampling off is refused at admission instead

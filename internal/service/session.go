@@ -43,7 +43,8 @@ type JobRequest struct {
 	// SampleK/SampleBudget override the daemon's per-session adaptive-
 	// throttling defaults when > 0, exactly as racedet -sample-k /
 	// -sample-budget; SampleK < 0 forces throttling off for this job.
-	// SampleBudget outside [0, 1] is rejected at admission.
+	// SampleBudget outside [0, 1], or > 0 with SampleK < 0, is
+	// rejected at admission.
 	SampleK      int     `json:"sample_k,omitempty"`
 	SampleBudget float64 `json:"sample_budget,omitempty"`
 	// Priors seeds the job's sampler with the program's static
